@@ -29,7 +29,7 @@ from .reporting import (
     students_csv,
     subject_srt_csv,
 )
-from .session_derivation import SrtMode
+from .session_derivation import SrtMode, pick_log_srt_mode
 from .simulator import MASK64, profile_from_name, simulate_class
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def run_compute(args: argparse.Namespace) -> int:
     worker = partial(
         compute_student,
         spec=spec,
-        srt_mode=_SRT_MODES[args.srt_mode],
+        srt_mode=_SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions),
         threshold=args.threshold,
     )
     if jobs > 1 and len(sessions) > 1:

@@ -19,8 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, TextIO, Union
 
 from .errors import ParseError, ValidationError
@@ -36,6 +38,10 @@ STANDARD_OPTION_IDS = ("a", "b", "c", "d", "e")
 DEFAULT_LU_DEVIATION = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 EVENT_CSV_HEADER = ("student_id", "question_id", "event", "option_id", "timestamp_ms")
+
+SCOPE_QUESTIONNAIRE = "questionnaire"
+SCOPE_SUBJECT = "subject"
+SCOPE_TOPIC = "topic"
 
 TextSource = Union[str, TextIO]
 
@@ -105,9 +111,11 @@ class QuestionSpec:
                     field=name,
                     question_id=qid,
                 )
-        if not self.expected_time_s > 0:
+        if not 0 < self.expected_time_s < math.inf:
             raise ValidationError(
-                "expected_time_s must be positive", field="expected_time_s", question_id=qid
+                "expected_time_s must be positive and finite",
+                field="expected_time_s",
+                question_id=qid,
             )
         if not self.options:
             raise ValidationError("question has no options", field="options", question_id=qid)
@@ -155,8 +163,10 @@ class QuestionnaireSpec:
                     field="question_id",
                     question_id=question.question_id,
                 )
-        if not self.max_total_time_s > 0:
-            raise ValidationError("max_total_time_s must be positive", field="max_total_time_s")
+        if not 0 < self.max_total_time_s < math.inf:
+            raise ValidationError(
+                "max_total_time_s must be positive and finite", field="max_total_time_s"
+            )
 
     @property
     def question_count(self) -> int:
@@ -188,6 +198,20 @@ class QuestionnaireSpec:
         for question in self.questions:
             found.update(question.topic_ids)
         return tuple(sorted(found))
+
+    @cached_property
+    def subset_layout(self) -> tuple[tuple[str, str | int | None, tuple[int, ...]], ...]:
+        """(scope, element, question ids) of every reported question set:
+        the whole questionnaire, then each subject in order of first
+        appearance, then each topic ascending. Built once per spec."""
+        layout = [(SCOPE_QUESTIONNAIRE, None, tuple(q.question_id for q in self.questions))]
+        for subject in self.subjects():
+            ids = tuple(q.question_id for q in self.questions if q.subject == subject)
+            layout.append((SCOPE_SUBJECT, subject, ids))
+        for topic in self.topics():
+            ids = tuple(q.question_id for q in self.questions if topic in q.topic_ids)
+            layout.append((SCOPE_TOPIC, topic, ids))
+        return tuple(layout)
 
 
 @dataclass(frozen=True)
@@ -259,6 +283,16 @@ def _get(mapping: dict, key: str, kinds, *, question_id: int | None = None):
     return value
 
 
+def _get_float(mapping: dict, key: str, *, question_id: int | None = None) -> float:
+    value = _get(mapping, key, (int, float), question_id=question_id)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"field {key!r} must be a finite number", field=key, question_id=question_id
+        ) from None
+
+
 def parse_questionnaire(text: TextSource, *, allow_any_option_count: bool = False) -> QuestionnaireSpec:
     """Parse and validate the questionnaire JSON format.
 
@@ -276,7 +310,7 @@ def parse_questionnaire(text: TextSource, *, allow_any_option_count: bool = Fals
         raise ValidationError("top level must be a JSON object", field="questionnaire")
 
     questionnaire_id = _get(doc, "questionnaire_id", str)
-    max_total_time_s = float(_get(doc, "max_total_time_s", (int, float)))
+    max_total_time_s = _get_float(doc, "max_total_time_s")
     raw_questions = _get(doc, "questions", list)
 
     questions = []
@@ -324,7 +358,7 @@ def parse_questionnaire(text: TextSource, *, allow_any_option_count: bool = Fals
                 qdi=_get(raw, "qdi", int, question_id=qid),
                 cdi=_get(raw, "cdi", int, question_id=qid),
                 tdi=_get(raw, "tdi", int, question_id=qid),
-                expected_time_s=float(_get(raw, "expected_time_s", (int, float), question_id=qid)),
+                expected_time_s=_get_float(raw, "expected_time_s", question_id=qid),
                 options=tuple(options),
             )
         )
@@ -406,6 +440,10 @@ def parse_event_log(text: TextSource, spec: QuestionnaireSpec) -> list[StudentSe
         if not student_id:
             raise ValidationError("student_id must be non-empty", field="student_id", line=line)
         timestamp_ms = _parse_int(raw_ts, "timestamp_ms", line)
+        if timestamp_ms < 0:
+            raise ValidationError(
+                "timestamp_ms must be non-negative", field="timestamp_ms", line=line
+            )
         if raw_event == "end":
             if raw_qid or raw_option:
                 raise ValidationError(

@@ -20,25 +20,23 @@ from .analytics import (
     Scope,
     assign_group,
     classify_quadrant,
-    disorder_summary,
     rank_priorities,
     srt_vs_expected,
 )
-from .composite_metrics import comprehension_for_response, comprehension_for_subset, priority
-from .domain_model import QuestionnaireSpec, StudentSession
-from .isolated_metrics import (
-    QuestionSubset,
-    assurance_degree,
-    level_of_disorder,
-    question_doubt,
-    student_response_time,
-    subject_subsets,
-    topic_subsets,
-    traditional_score,
-    weighted_score,
+from .composite_metrics import (
+    comprehension_for_response,
+    priority,
+    questionnaire_comprehension_level,
 )
+from .domain_model import (
+    SCOPE_QUESTIONNAIRE,
+    SCOPE_SUBJECT,
+    SCOPE_TOPIC,
+    QuestionnaireSpec,
+    StudentSession,
+)
+from .isolated_metrics import QuestionSubset, level_of_disorder, question_doubt, subject_subsets
 from .session_derivation import (
-    AnswerSequence,
     QuestionResponse,
     SrtMode,
     derive_answer_sequence,
@@ -46,10 +44,6 @@ from .session_derivation import (
 )
 
 METRIC_KEYS = ("ts", "ws", "ad", "qucl")
-
-SCOPE_QUESTIONNAIRE = "questionnaire"
-SCOPE_SUBJECT = "subject"
-SCOPE_TOPIC = "topic"
 
 
 @dataclass(frozen=True)
@@ -115,64 +109,18 @@ class StudentMetricsReport:
             "student_id": self.student_id,
             "quadrant": self.quadrant.value,
             "group_indices": dict(self.group_indices) if self.group_indices else None,
-            "questions": [
-                {
-                    "question_id": q.question_id,
-                    "markings": q.markings,
-                    "doubt": q.doubt,
-                    "weight": q.weight,
-                    "srt_s": q.srt_s,
-                    "qcl": q.qcl,
-                }
-                for q in self.questions
-            ],
-            "subsets": [
-                {
-                    "scope": s.scope,
-                    "element": s.element,
-                    "ts": s.ts,
-                    "ws": s.ws,
-                    "ad": s.ad,
-                    "srt_s": s.srt_s,
-                    "disorder": s.disorder,
-                    "qucl": s.qucl,
-                    "priority": s.priority,
-                }
-                for s in self.subsets
-            ],
+            # Row fields are declared in report key order.
+            "questions": [dict(vars(q)) for q in self.questions],
+            "subsets": [dict(vars(s)) for s in self.subsets],
         }
 
 
 @dataclass(frozen=True)
 class StudentComputation:
-    """A student's report plus the derived data class-level analyses reuse."""
+    """A student's report plus the responses class-level analyses reuse."""
 
     report: StudentMetricsReport
     responses: dict[int, QuestionResponse]
-    sequence: AnswerSequence
-
-
-def _subset_row(
-    scope: str,
-    element: str | int | None,
-    subset: QuestionSubset,
-    responses: Mapping[int, QuestionResponse],
-    sequence: AnswerSequence,
-    spec: QuestionnaireSpec,
-) -> SubsetRow:
-    ts = traditional_score(responses, spec, subset)
-    ws = weighted_score(responses, spec, subset)
-    return SubsetRow(
-        scope=scope,
-        element=element,
-        ts=ts,
-        ws=ws,
-        ad=assurance_degree(responses, spec, subset),
-        srt_s=student_response_time(responses, subset),
-        disorder=level_of_disorder(sequence.restricted_to(subset)),
-        qucl=comprehension_for_subset(responses, spec, subset),
-        priority=priority(ts, ws),
-    )
 
 
 def compute_student(
@@ -181,33 +129,58 @@ def compute_student(
     srt_mode: SrtMode | None = None,
     threshold: float = 0.5,
 ) -> StudentComputation:
-    """Derive one student's responses and build their full metric report."""
+    """Derive one student's responses and build their full metric report.
+
+    Each per-question fact is computed once; every subset row of
+    ``spec.subset_layout`` is then made of sums of those facts over the
+    subset's questions, in the subset's order, which is the order the
+    metric definitions in :mod:`isolated_metrics` sum in. Disorder
+    filters the answer sequence once per subset.
+    """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
 
     question_rows = []
+    correct, weight, markings, srt, qcl = {}, {}, {}, {}, {}
     for question in spec.questions:
-        response = responses[question.question_id]
-        question_rows.append(
-            QuestionRow(
-                question_id=question.question_id,
-                markings=response.markings,
-                doubt=question_doubt(response),
-                weight=response.final_weight,
-                srt_s=response.srt_s,
-                qcl=comprehension_for_response(response, question),
+        qid = question.question_id
+        response = responses[qid]
+        row = QuestionRow(
+            question_id=qid,
+            markings=response.markings,
+            doubt=question_doubt(response),
+            weight=response.final_weight,
+            srt_s=response.srt_s,
+            qcl=comprehension_for_response(response, question),
+        )
+        question_rows.append(row)
+        correct[qid] = 1 if response.is_correct else 0
+        weight[qid] = row.weight
+        markings[qid] = row.markings
+        srt[qid] = row.srt_s
+        qcl[qid] = row.qcl
+
+    subset_rows = []
+    for scope, element, qids in spec.subset_layout:
+        count = len(qids)
+        hits = sum([correct[q] for q in qids])
+        total_markings = sum([markings[q] for q in qids])
+        ts = 10.0 * hits / count
+        ws = 10.0 * sum([weight[q] for q in qids]) / (4 * count)
+        ad = hits / total_markings if total_markings else 0.0
+        subset_rows.append(
+            SubsetRow(
+                scope=scope,
+                element=element,
+                ts=ts,
+                ws=ws,
+                ad=ad,
+                srt_s=sum([srt[q] for q in qids]),
+                disorder=level_of_disorder(sequence.restricted_to(qids)),
+                qucl=questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),
+                priority=priority(ts, ws),
             )
         )
-
-    subset_rows = [
-        _subset_row(
-            SCOPE_QUESTIONNAIRE, None, QuestionSubset.whole(spec), responses, sequence, spec
-        )
-    ]
-    for subject, subset in subject_subsets(spec).items():
-        subset_rows.append(_subset_row(SCOPE_SUBJECT, subject, subset, responses, sequence, spec))
-    for topic, subset in topic_subsets(spec).items():
-        subset_rows.append(_subset_row(SCOPE_TOPIC, topic, subset, responses, sequence, spec))
 
     overall = subset_rows[0]
     report = StudentMetricsReport(
@@ -216,7 +189,7 @@ def compute_student(
         subsets=tuple(subset_rows),
         quadrant=classify_quadrant(overall.ad, overall.qucl, threshold),
     )
-    return StudentComputation(report=report, responses=responses, sequence=sequence)
+    return StudentComputation(report=report, responses=responses)
 
 
 def attach_group_indices(
@@ -232,18 +205,20 @@ def attach_group_indices(
     return attached
 
 
-def _pairs_by_element(
+def _rows_by_element(
     reports: Sequence[StudentMetricsReport], scope: str
-) -> dict[str | int, list[tuple[float, float]]]:
-    pairs: dict[str | int, list[tuple[float, float]]] = {}
+) -> dict[str | int, list[SubsetRow]]:
+    """Each element's subset rows of the given scope, in student order."""
+    rows: dict[str | int, list[SubsetRow]] = {}
     for report in reports:
         for row in report.subsets:
             if row.scope == scope:
-                pairs.setdefault(row.element, []).append((row.ts, row.ws))
-    return pairs
+                rows.setdefault(row.element, []).append(row)
+    return rows
 
 
-def _ranking_rows(pairs: dict, scope_label: str) -> list[dict]:
+def _ranking_rows(rows: dict[str | int, list[SubsetRow]], scope_label: str) -> list[dict]:
+    pairs = {element: [(r.ts, r.ws) for r in group] for element, group in rows.items()}
     rankings = rank_priorities(pairs, Scope.CLASS)
     return [
         {
@@ -313,10 +288,9 @@ def build_class_summary(
         roster[report.quadrant.value].append(report.student_id)
     summary["quadrants"] = roster
 
-    summary["subject_priorities"] = _ranking_rows(
-        _pairs_by_element(reports, SCOPE_SUBJECT), "subject"
-    )
-    summary["topic_priorities"] = _ranking_rows(_pairs_by_element(reports, SCOPE_TOPIC), "topic")
+    subject_rows = _rows_by_element(reports, SCOPE_SUBJECT)
+    summary["subject_priorities"] = _ranking_rows(subject_rows, "subject")
+    summary["topic_priorities"] = _ranking_rows(_rows_by_element(reports, SCOPE_TOPIC), "topic")
 
     comparisons = srt_vs_expected(
         [c.responses for c in computations], spec, QuestionSubset.whole(spec)
@@ -331,33 +305,72 @@ def build_class_summary(
         for row in comparisons
     ]
 
-    sequences = [c.sequence for c in computations]
+    # Mean disorder and share of students with positive disorder, as in
+    # analytics.disorder_summary, read from the rows compute_student made.
     disorder_rows = []
-    for subject, subset in subject_subsets(spec).items():
-        average, positive = disorder_summary(sequences, subset)
+    groups = list(subject_rows.items())
+    groups.append(("General", [report.overall for report in reports]))
+    for subject, rows in groups:
+        disorders = [row.disorder for row in rows]
         disorder_rows.append(
-            {"subject": subject, "average": average, "percent_positive": positive}
+            {
+                "subject": subject,
+                "average": sum(disorders) / len(disorders),
+                "percent_positive": sum(1 for d in disorders if d > 0) / len(disorders),
+            }
         )
-    average, positive = disorder_summary(sequences)
-    disorder_rows.append(
-        {"subject": "General", "average": average, "percent_positive": positive}
-    )
     summary["disorder"] = disorder_rows
     return summary
+
+
+# The C function behind json.dumps(str): the same bytes without its overhead.
+_quote = json.encoder.encode_basestring_ascii
 
 
 def render_json(value) -> str:
     """Serialize to JSON with fixed key order and 4-digit decimals."""
     out: list[str] = []
-    _render(value, 0, out)
+    _render(value, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _render(value, level: int, out: list[str]) -> None:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if value is None:
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append ``value``; ``newline`` is a line break plus the current indent.
+    Floats, ints and strings in a dict are written inline with their key."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            key = _quote(str(key))
+            kind = type(item)
+            if kind is float:
+                out.append(f"{separator}{key}: {item:.4f}")
+            elif kind is int:
+                out.append(f"{separator}{key}: {item}")
+            elif kind is str:
+                out.append(f"{separator}{key}: {_quote(item)}")
+            else:
+                out.append(f"{separator}{key}: ")
+                _render(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _render(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
@@ -368,28 +381,11 @@ def _render(value, level: int, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for index, item in enumerate(value):
-            out.append(inner)
-            _render(item, level + 1, out)
-            out.append(",\n" if index < len(value) - 1 else "\n")
-        out.append(pad + "]")
+        _render(list(value), newline, out)
     elif isinstance(value, Mapping):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for index, (key, item) in enumerate(items):
-            out.append(inner + json.dumps(str(key)) + ": ")
-            _render(item, level + 1, out)
-            out.append(",\n" if index < len(items) - 1 else "\n")
-        out.append(pad + "}")
+        _render(dict(value), newline, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 

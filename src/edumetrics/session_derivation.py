@@ -69,17 +69,25 @@ class AnswerSequence:
         return len(self.entries)
 
     def question_ids(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.entries)
+        return tuple([q for q, _ in self.entries])
 
     def restricted_to(self, question_ids: Iterable[int]) -> "AnswerSequence":
         """Subsequence of answers to the given questions, order preserved."""
         keep = set(question_ids)
-        return AnswerSequence(tuple(e for e in self.entries if e[0] in keep))
+        return AnswerSequence(tuple([e for e in self.entries if e[0] in keep]))
 
 
 def pick_srt_mode(session: StudentSession) -> SrtMode:
-    """VIEW_INTERVALS when the log carries any view event, else ANSWER_INTERVALS."""
+    """VIEW_INTERVALS when the session carries any view event, else ANSWER_INTERVALS."""
     if any(e.kind is EventKind.VIEW for e in session.events):
+        return SrtMode.VIEW_INTERVALS
+    return SrtMode.ANSWER_INTERVALS
+
+
+def pick_log_srt_mode(sessions: Iterable[StudentSession]) -> SrtMode:
+    """One mode for a whole log: VIEW_INTERVALS when any of its sessions
+    carries a view event, else ANSWER_INTERVALS."""
+    if any(pick_srt_mode(s) is SrtMode.VIEW_INTERVALS for s in sessions):
         return SrtMode.VIEW_INTERVALS
     return SrtMode.ANSWER_INTERVALS
 

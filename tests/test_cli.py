@@ -300,3 +300,37 @@ def test_rounding_is_fixed_to_four_digits(tmp_path):
         if '"srt_s":' in line:
             value = line.split(":")[1].strip().rstrip(",")
             assert len(value.split(".")[1]) == 4
+
+
+def test_compute_auto_srt_mode_resolves_once_per_log(tmp_path):
+    spec_path = write_spec(tmp_path, n=2)
+    events = tmp_path / "events.csv"
+    events.write_text(
+        EVENT_HEADER + "\n"
+        "s1,1,view,,0\n"
+        "s1,1,answer,a,10000\n"
+        "s1,2,view,,10000\n"
+        "s1,2,answer,a,70000\n"
+        "s2,1,answer,a,10000\n"
+        "s2,2,answer,a,70000\n",
+        encoding="utf-8",
+    )
+    srt_by_mode = {}
+    for mode in ("auto", "view"):
+        out_dir = tmp_path / mode
+        result = run_cli(
+            "compute", "--spec", str(spec_path), "--events", str(events),
+            "--srt-mode", mode, "--out", str(out_dir),
+        )
+        assert result.returncode == 0, result.stderr
+        students = json.loads((out_dir / "students.json").read_text())
+        srt_by_mode[mode] = {
+            s["student_id"]: [q["srt_s"] for q in s["questions"]] for s in students
+        }
+    # The log has view rows, so auto charges every student by view
+    # intervals, s2 included, whose own rows are answers only.
+    assert srt_by_mode["auto"] == srt_by_mode["view"]
+    assert srt_by_mode["auto"]["s1"] == [10.0, 60.0]
+    assert srt_by_mode["auto"]["s2"] == [60.0, 0.0]
+    class_report = json.loads((tmp_path / "auto" / "class.json").read_text())
+    assert class_report["srt_mode"] == "auto"

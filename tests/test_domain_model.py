@@ -241,3 +241,47 @@ def test_resolved_events_reference_the_spec():
         question = spec.question(event.question_id)
         if event.kind is EventKind.ANSWER:
             assert question.option(event.option_id) is not None
+
+
+NON_FINITE = [float("inf"), float("-inf"), float("nan"), 10**400]
+NON_FINITE_IDS = ["inf", "-inf", "nan", "huge-int"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_expected_time_rejected_with_location(value):
+    text = spec_text([question_doc(1), question_doc(2, expected_time_s=value)])
+    with pytest.raises(ValidationError) as err:
+        parse_questionnaire(text)
+    assert err.value.field == "expected_time_s"
+    assert err.value.question_id == 2
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_max_total_time_rejected(value):
+    with pytest.raises(ValidationError) as err:
+        parse_questionnaire(spec_text([question_doc(1)], max_total_time_s=value))
+    assert err.value.field == "max_total_time_s"
+
+
+def test_infinity_literal_in_spec_text_rejected():
+    text = spec_text([question_doc(1)]).replace('"max_total_time_s": 14400', '"max_total_time_s": Infinity')
+    assert "Infinity" in text
+    with pytest.raises(ValidationError) as err:
+        parse_questionnaire(text)
+    assert err.value.field == "max_total_time_s"
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        (["s1,,end,,-5"], 2),
+        (["s1,1,answer,a,1000", "s1,,end,,-1"], 3),
+        (["s1,1,view,,0", "s1,1,answer,a,-20"], 3),
+    ],
+)
+def test_negative_timestamp_rejected_with_line(rows, line):
+    with pytest.raises(ValidationError) as err:
+        parse_event_log(event_csv(rows), make_spec(n=1))
+    assert err.value.field == "timestamp_ms"
+    assert err.value.line == line
+    assert "precedes" not in str(err.value)

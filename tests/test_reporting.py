@@ -1,0 +1,158 @@
+import hashlib
+
+import pytest
+
+from edumetrics import (
+    QuestionSubset,
+    assurance_degree,
+    comprehension_for_subset,
+    derive_answer_sequence,
+    derive_responses,
+    event_log_csv,
+    level_of_disorder,
+    priority,
+    profile_from_name,
+    serialize_questionnaire,
+    simulate_class,
+    student_response_time,
+    traditional_score,
+    weighted_score,
+)
+from edumetrics.cli import main
+from edumetrics.reporting import compute_student, render_json
+from helpers import make_question, make_spec
+
+PROFILES = ("assured", "guesser", "self-corrector", "disordered")
+
+# sha256 of every report file written by `compute --format csv` for the
+# class of `_write_inputs`, recorded from the implementation that
+# computed each subset metric through the public metric functions.
+REPORT_DIGESTS = {
+    "students.json": "12919545cff03d19747e5fc8141728ad86803716e924c5f77de0b9d4290d2bfd",
+    "class.json": "1d757b8db966ef81ed312096e8e0b901a5afe414d7a0fdbb1d0f850ac1003d05",
+    "students.csv": "782517151ecb2b16869eec9062cb06776700437d582c6f3ec4e7d7ca24a767af",
+    "questions.csv": "e5866c9eba9c2c3fc1c1a394f187e03fc95cfdaa91fc713c2d5a1ba77e0a6f18",
+    "plotdata/groups_histogram.csv": "f28417cf35619324e733bef00142059a241dae77fa047666fc1431a40bc782de",
+    "plotdata/ad_vs_qucl.csv": "3da415cdc03fd597e5406689ec256d4295fda2a5089cce94520445e3914a1c0d",
+    "plotdata/subject_srt.csv": "2569d10986ba17a6161543da0a5a4e48765a8727c13db4caa2deb3ff7d2a2291",
+}
+
+
+def _overlapping_spec():
+    """12 questions over 3 subjects; each question sits in 3 of 5 topics."""
+    questions = [
+        make_question(
+            i + 1,
+            subject=("Algebra", "Geometry", "Statistics")[i // 4],
+            topics=tuple(sorted({i % 5 + 1, (i + 2) % 5 + 1, (i + 3) % 5 + 1})),
+            qdi=(1, 3, 5)[i % 3],
+            cdi=(1, 3, 5)[(i // 3) % 3],
+            expected_time_s=45.0 + 15 * (i % 4),
+            weights=((4, 3, 2, 1, 0), (0, 4, 3, 2, 1), (1, 0, 4, 3, 2))[i % 3],
+        )
+        for i in range(12)
+    ]
+    return make_spec(questions)
+
+
+def _sessions(spec, per_profile=3, seed=2024):
+    sessions = []
+    for index, name in enumerate(PROFILES):
+        profile = profile_from_name(name, seed + 100 * index)
+        sessions.extend(simulate_class(profile, spec, per_profile, id_prefix=f"{name}-"))
+    return sessions
+
+
+def _write_inputs(tmp_path):
+    spec = _overlapping_spec()
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(serialize_questionnaire(spec), encoding="utf-8")
+    events_path = tmp_path / "events.csv"
+    events_path.write_text(event_log_csv(_sessions(spec)), encoding="utf-8")
+    return spec_path, events_path
+
+
+def report_digests(tmp_path):
+    spec_path, events_path = _write_inputs(tmp_path)
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "compute", "--spec", str(spec_path), "--events", str(events_path),
+            "--out", str(out_dir), "--format", "csv",
+        ]
+    )
+    assert code == 0
+    return {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in REPORT_DIGESTS
+    }
+
+
+def test_report_bytes_match_recorded_digests(tmp_path):
+    assert report_digests(tmp_path) == REPORT_DIGESTS
+
+
+def test_compute_student_rows_equal_metric_definitions():
+    spec = _overlapping_spec()
+    sessions = _sessions(spec, per_profile=4, seed=77)
+    for session in sessions:
+        report = compute_student(session, spec).report
+        responses = derive_responses(session, spec)
+        sequence = derive_answer_sequence(session)
+        expected_keys = [("questionnaire", None)]
+        expected_keys += [("subject", s) for s in spec.subjects()]
+        expected_keys += [("topic", t) for t in spec.topics()]
+        assert [(row.scope, row.element) for row in report.subsets] == expected_keys
+        for row in report.subsets:
+            if row.scope == "questionnaire":
+                subset = QuestionSubset.whole(spec)
+            elif row.scope == "subject":
+                subset = QuestionSubset.for_subject(spec, row.element)
+            else:
+                subset = QuestionSubset.for_topic(spec, row.element)
+            ts = traditional_score(responses, spec, subset)
+            ws = weighted_score(responses, spec, subset)
+            where = (session.student_id, row.scope, row.element)
+            assert row.ts == ts, where
+            assert row.ws == ws, where
+            assert row.ad == assurance_degree(responses, spec, subset), where
+            assert row.srt_s == student_response_time(responses, subset), where
+            assert row.disorder == level_of_disorder(sequence.restricted_to(subset)), where
+            assert row.qucl == comprehension_for_subset(responses, spec, subset), where
+            assert row.priority == priority(ts, ws), where
+
+
+def test_subset_layout_is_built_once_per_spec():
+    spec = _overlapping_spec()
+    assert spec.subset_layout is spec.subset_layout
+    assert spec.subset_layout[0] == ("questionnaire", None, tuple(range(1, 13)))
+    assert spec.subset_layout[1] == ("subject", "Algebra", (1, 2, 3, 4))
+    assert spec.subset_layout[4][:2] == ("topic", 1)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ([], "[]\n"),
+        ({}, "{}\n"),
+        (None, "null\n"),
+        (True, "true\n"),
+        (False, "false\n"),
+        ({"a": [], "b": {}}, '{\n  "a": [],\n  "b": {}\n}\n'),
+        ({1: 2, 3: 0.5}, '{\n  "1": 2,\n  "3": 0.5000\n}\n'),
+        ({"name": "Zoë ✓", "q": "a\"b"}, '{\n  "name": "Zo\\u00eb \\u2713",\n  "q": "a\\"b"\n}\n'),
+        (
+            [{"k": [1, None, {"x": False, "y": 0.125}]}],
+            '[\n  {\n    "k": [\n      1,\n      null,\n      {\n        "x": false,\n'
+            '        "y": 0.1250\n      }\n    ]\n  }\n]\n',
+        ),
+        ((2.5, "s", True), '[\n  2.5000,\n  "s",\n  true\n]\n'),
+    ],
+)
+def test_render_json_literal_output(value, expected):
+    assert render_json(value) == expected
+
+
+def test_render_json_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        render_json({"a": object()})
