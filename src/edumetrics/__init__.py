@@ -81,6 +81,7 @@ from .session_derivation import (
     SrtMode,
     derive_answer_sequence,
     derive_responses,
+    pick_log_srt_mode,
     pick_srt_mode,
 )
 from .simulator import (

@@ -1,9 +1,7 @@
 """Class-level analyses: grouping, approval split, quadrants, priorities,
 time-vs-expected and disorder summaries.
 
-All aggregations consume immutable per-student results; the intended
-shape is a parallel map over students followed by a single-threaded
-reduce here.
+All aggregations consume immutable per-student results.
 """
 
 from __future__ import annotations
@@ -163,7 +161,11 @@ def srt_vs_expected(
     subset: SubsetLike,
 ) -> list[SrtComparison]:
     """Class mean response time per question, flagged when it stays within
-    the expected time (boundary counts as within)."""
+    the expected time (boundary counts as within).
+
+    Only the ``.srt_s`` of each per-question value is read, so per-question
+    report rows serve as well as responses.
+    """
     if not responses_per_student:
         raise DomainError("need at least one student")
     rows = []

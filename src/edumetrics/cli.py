@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from .analytics import build_grouping
@@ -35,8 +33,6 @@ from .simulator import MASK64, profile_from_name, simulate_class
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
-
-JOBS_ENV_VAR = "EDUMETRICS_JOBS"
 
 _SRT_MODES = {
     "auto": None,
@@ -69,24 +65,9 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _job_count(flag_value: int) -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is not None:
-        jobs = int(raw)
-    else:
-        jobs = flag_value
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
 def run_compute(args: argparse.Namespace) -> int:
     if not 0.0 <= args.threshold <= 1.0:
         return _fail(f"--threshold must lie in [0, 1], got {args.threshold}", EXIT_INPUT)
-    try:
-        jobs = _job_count(args.jobs)
-    except (DomainError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
 
     try:
         spec_text = _read_text(args.spec)
@@ -104,25 +85,12 @@ def run_compute(args: argparse.Namespace) -> int:
     except (ParseError, ValidationError) as exc:
         return _fail(f"{args.events}: {exc}", EXIT_INPUT)
 
-    worker = partial(
-        compute_student,
-        spec=spec,
-        srt_mode=_SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions),
-        threshold=args.threshold,
-    )
-    if jobs > 1 and len(sessions) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computations = list(pool.map(worker, sessions))
-    else:
-        computations = [worker(session) for session in sessions]
-
-    reports = [c.report for c in computations]
+    srt_mode = _SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions)
+    reports = [compute_student(s, spec, srt_mode, args.threshold) for s in sessions]
     scheme = build_grouping(len(reports)) if reports else None
     if scheme is not None:
         reports = attach_group_indices(reports, scheme)
-    summary = build_class_summary(
-        reports, computations, spec, scheme, args.threshold, args.srt_mode
-    )
+    summary = build_class_summary(reports, spec, scheme, args.threshold, args.srt_mode)
 
     out_dir = Path(args.out)
     try:
@@ -197,12 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("json", "csv"),
         default="json",
         help="csv additionally writes flattened students.csv and questions.csv",
-    )
-    compute.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=f"per-student worker processes; the {JOBS_ENV_VAR} env var overrides this",
     )
     compute.add_argument("--allow-any-option-count", action="store_true")
 

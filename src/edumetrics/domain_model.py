@@ -350,6 +350,8 @@ def parse_questionnaire(text: TextSource, *, allow_any_option_count: bool = Fals
         topic_ids = _get(raw, "topic_ids", list, question_id=qid)
         if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
             raise ValidationError("topic_ids must be integers", field="topic_ids", question_id=qid)
+        if len(set(topic_ids)) != len(topic_ids):
+            raise ValidationError("duplicate topic_id", field="topic_ids", question_id=qid)
         questions.append(
             QuestionSpec(
                 question_id=qid,

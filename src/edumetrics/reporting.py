@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 from .analytics import (
     GroupingScheme,
     QuadrantLabel,
     Scope,
+    approval_split,
     assign_group,
     classify_quadrant,
     rank_priorities,
@@ -35,13 +36,8 @@ from .domain_model import (
     QuestionnaireSpec,
     StudentSession,
 )
-from .isolated_metrics import QuestionSubset, level_of_disorder, question_doubt, subject_subsets
-from .session_derivation import (
-    QuestionResponse,
-    SrtMode,
-    derive_answer_sequence,
-    derive_responses,
-)
+from .isolated_metrics import QuestionSubset, level_of_disorder, question_doubt
+from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 METRIC_KEYS = ("ts", "ws", "ad", "qucl")
 
@@ -115,20 +111,12 @@ class StudentMetricsReport:
         }
 
 
-@dataclass(frozen=True)
-class StudentComputation:
-    """A student's report plus the responses class-level analyses reuse."""
-
-    report: StudentMetricsReport
-    responses: dict[int, QuestionResponse]
-
-
 def compute_student(
     session: StudentSession,
     spec: QuestionnaireSpec,
     srt_mode: SrtMode | None = None,
     threshold: float = 0.5,
-) -> StudentComputation:
+) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
     Each per-question fact is computed once; every subset row of
@@ -183,13 +171,12 @@ def compute_student(
         )
 
     overall = subset_rows[0]
-    report = StudentMetricsReport(
+    return StudentMetricsReport(
         student_id=session.student_id,
         questions=tuple(question_rows),
         subsets=tuple(subset_rows),
         quadrant=classify_quadrant(overall.ad, overall.qucl, threshold),
     )
-    return StudentComputation(report=report, responses=responses)
 
 
 def attach_group_indices(
@@ -232,7 +219,6 @@ def _ranking_rows(rows: dict[str | int, list[SubsetRow]], scope_label: str) -> l
 
 def build_class_summary(
     reports: Sequence[StudentMetricsReport],
-    computations: Sequence[StudentComputation],
     spec: QuestionnaireSpec,
     scheme: GroupingScheme | None,
     threshold: float,
@@ -276,11 +262,8 @@ def build_class_summary(
 
     splits = []
     for metric in METRIC_KEYS:
-        values = [report.normalized(metric) for report in reports]
-        at_or_above = sum(1 for v in values if v >= threshold)
-        splits.append(
-            {"metric": metric, "at_or_above": at_or_above, "below": count - at_or_above}
-        )
+        at_or_above, below = approval_split((r.normalized(metric) for r in reports), threshold)
+        splits.append({"metric": metric, "at_or_above": at_or_above, "below": below})
     summary["approval_splits"] = splits
 
     roster: dict[str, list[str]] = {label.value: [] for label in QuadrantLabel}
@@ -292,8 +275,11 @@ def build_class_summary(
     summary["subject_priorities"] = _ranking_rows(subject_rows, "subject")
     summary["topic_priorities"] = _ranking_rows(_rows_by_element(reports, SCOPE_TOPIC), "topic")
 
+    # A QuestionRow's srt_s is its QuestionResponse's srt_s.
     comparisons = srt_vs_expected(
-        [c.responses for c in computations], spec, QuestionSubset.whole(spec)
+        [{q.question_id: q for q in r.questions} for r in reports],
+        spec,
+        QuestionSubset.whole(spec),
     )
     summary["srt_vs_expected"] = [
         {
@@ -432,74 +418,34 @@ def subject_srt_csv(
     """Class mean per-question time per subject, plus a General row."""
     rows = []
     if reports:
-        for subject, subset in subject_subsets(spec).items():
-            per_student = [
-                row.srt_s / len(subset)
-                for report in reports
-                for row in report.subsets
-                if row.scope == SCOPE_SUBJECT and row.element == subject
-            ]
-            rows.append([subject, sum(per_student) / len(reports)])
+        by_subject = _rows_by_element(reports, SCOPE_SUBJECT)
+        for scope, subject, qids in spec.subset_layout:
+            if scope == SCOPE_SUBJECT:
+                per_student = [row.srt_s / len(qids) for row in by_subject[subject]]
+                rows.append([subject, sum(per_student) / len(reports)])
         overall = [r.overall.srt_s / spec.question_count for r in reports]
         rows.append(["General", sum(overall) / len(reports)])
     return _csv_text(("subject", "mean_srt_s"), rows)
 
 
 def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
-    """Flat form of the per-student reports, one row per subset."""
+    """Flat form of the per-student reports, one row per subset; the
+    quadrant and group columns are filled on the questionnaire row only."""
+    header = ["student_id", *(f.name for f in fields(SubsetRow)), "quadrant"]
+    header += [f"group_{metric}" for metric in METRIC_KEYS]
     rows = []
     for report in reports:
         indices = report.group_indices or {}
+        overall = [report.quadrant.value, *(indices.get(m) for m in METRIC_KEYS)]
+        blank = [None] * len(overall)
         for row in report.subsets:
-            questionnaire_scope = row.scope == SCOPE_QUESTIONNAIRE
-            rows.append(
-                [
-                    report.student_id,
-                    row.scope,
-                    "" if row.element is None else row.element,
-                    row.ts,
-                    row.ws,
-                    row.ad,
-                    row.srt_s,
-                    row.disorder,
-                    row.qucl,
-                    row.priority,
-                    report.quadrant.value if questionnaire_scope else "",
-                    indices.get("ts", "") if questionnaire_scope else "",
-                    indices.get("ws", "") if questionnaire_scope else "",
-                    indices.get("ad", "") if questionnaire_scope else "",
-                    indices.get("qucl", "") if questionnaire_scope else "",
-                ]
-            )
-    return _csv_text(
-        (
-            "student_id",
-            "scope",
-            "element",
-            "ts",
-            "ws",
-            "ad",
-            "srt_s",
-            "disorder",
-            "qucl",
-            "priority",
-            "quadrant",
-            "group_ts",
-            "group_ws",
-            "group_ad",
-            "group_qucl",
-        ),
-        rows,
-    )
+            tail = overall if row.scope == SCOPE_QUESTIONNAIRE else blank
+            rows.append([report.student_id, *vars(row).values(), *tail])
+    return _csv_text(header, rows)
 
 
 def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-question rows."""
-    rows = [
-        [r.student_id, q.question_id, q.markings, q.doubt, q.weight, q.srt_s, q.qcl]
-        for r in reports
-        for q in r.questions
-    ]
-    return _csv_text(
-        ("student_id", "question_id", "markings", "doubt", "weight", "srt_s", "qcl"), rows
-    )
+    header = ["student_id", *(f.name for f in fields(QuestionRow))]
+    rows = [[r.student_id, *vars(q).values()] for r in reports for q in r.questions]
+    return _csv_text(header, rows)

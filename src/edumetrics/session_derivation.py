@@ -101,8 +101,10 @@ def derive_responses(
 
     Questions never touched get markings 0 and zero time. Every answer
     event counts as a marking, including re-selections of the same
-    option. Accumulated time follows ``srt_mode``; ``None`` picks the
-    mode from the log shape (see :func:`pick_srt_mode`).
+    option. Accumulated time follows ``srt_mode``; ``None`` resolves the
+    mode per session (see :func:`pick_srt_mode`). To give every student
+    of a log the same mode, as ``edumetrics compute`` does, pass
+    :func:`pick_log_srt_mode` of all its sessions.
     """
     mode = srt_mode or pick_srt_mode(session)
     markings: Counter[int] = Counter()

@@ -1,8 +1,12 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from edumetrics import serialize_questionnaire
+from edumetrics.cli import build_parser
 from helpers import make_question, make_spec
 
 EVENT_HEADER = "student_id,question_id,event,option_id,timestamp_ms"
@@ -198,29 +202,6 @@ def test_compute_csv_format_writes_flat_files(tmp_path):
     assert len(questions_csv.strip().split("\n")) == 1 + 2 * 6
 
 
-def test_compute_respects_jobs_env(tmp_path, monkeypatch):
-    spec_path = write_spec(tmp_path)
-    events = simulate_events(tmp_path, spec_path, count=4)
-    out_serial = tmp_path / "serial"
-    out_parallel = tmp_path / "parallel"
-    result = run_cli(
-        "compute", "--spec", str(spec_path), "--events", str(events),
-        "--out", str(out_serial),
-    )
-    assert result.returncode == 0
-    import os
-
-    env = dict(os.environ, EDUMETRICS_JOBS="2")
-    result = run_cli(
-        "compute", "--spec", str(spec_path), "--events", str(events),
-        "--out", str(out_parallel), env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    assert (out_serial / "students.json").read_bytes() == (
-        out_parallel / "students.json"
-    ).read_bytes()
-
-
 def test_compute_forced_srt_mode_changes_attribution(tmp_path):
     spec_path = write_spec(tmp_path, n=2)
     events = tmp_path / "events.csv"
@@ -334,3 +315,20 @@ def test_compute_auto_srt_mode_resolves_once_per_log(tmp_path):
     assert srt_by_mode["auto"]["s2"] == [60.0, 0.0]
     class_report = json.loads((tmp_path / "auto" / "class.json").read_text())
     assert class_report["srt_mode"] == "auto"
+
+
+def test_readme_lists_exactly_the_compute_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`compute` options:", 1)[1].split("\n\nOutputs under", 1)[0]
+    documented = set(re.findall(r"^\* `(--[a-z-]+)", section, flags=re.MULTILINE))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    compute = subparsers.choices["compute"]
+    options = {
+        option
+        for action in compute._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == options

@@ -125,6 +125,14 @@ def test_option_count_is_five_unless_relaxed():
     assert len(spec.questions[0].options) == 4
 
 
+def test_duplicate_topic_ids_rejected():
+    questions = [question_doc(1, topics=[3]), question_doc(2, topics=[17, 17])]
+    with pytest.raises(ValidationError) as err:
+        parse_questionnaire(spec_text(questions))
+    assert err.value.field == "topic_ids"
+    assert err.value.question_id == 2
+
+
 def test_question_ids_must_be_contiguous():
     with pytest.raises(ValidationError) as err:
         parse_questionnaire(spec_text([question_doc(1), question_doc(3)]))

@@ -96,7 +96,7 @@ def test_compute_student_rows_equal_metric_definitions():
     spec = _overlapping_spec()
     sessions = _sessions(spec, per_profile=4, seed=77)
     for session in sessions:
-        report = compute_student(session, spec).report
+        report = compute_student(session, spec)
         responses = derive_responses(session, spec)
         sequence = derive_answer_sequence(session)
         expected_keys = [("questionnaire", None)]

@@ -6,6 +6,7 @@ from edumetrics import (
     SrtMode,
     derive_answer_sequence,
     derive_responses,
+    pick_log_srt_mode,
     pick_srt_mode,
 )
 from helpers import answer_event, make_session, make_spec, view_event
@@ -84,6 +85,27 @@ def test_mode_defaults_to_view_intervals_when_views_exist():
     assert pick_srt_mode(session) is SrtMode.VIEW_INTERVALS
     answers_only = make_session([answer_event("s1", 1, "a", 10)])
     assert pick_srt_mode(answers_only) is SrtMode.ANSWER_INTERVALS
+
+
+def test_log_mode_is_view_intervals_when_any_session_has_views():
+    spec = make_spec(n=2)
+    viewer = make_session(
+        [view_event("s1", 1, 0), answer_event("s1", 1, "a", 10_000)], student="s1"
+    )
+    answerer = make_session(
+        [answer_event("s2", 1, "a", 0), answer_event("s2", 2, "b", 20_000)],
+        end=30_000,
+        student="s2",
+    )
+    assert pick_srt_mode(answerer) is SrtMode.ANSWER_INTERVALS
+    mode = pick_log_srt_mode([answerer, viewer])
+    assert mode is SrtMode.VIEW_INTERVALS
+    assert pick_log_srt_mode([answerer]) is SrtMode.ANSWER_INTERVALS
+    # The log's mode overrides the per-session pick for the answer-only session.
+    responses = derive_responses(answerer, spec, mode)
+    assert responses[1].srt_s == 20.0
+    assert responses[2].srt_s == 10.0
+    assert derive_responses(answerer, spec)[1].srt_s == 0.0
 
 
 def test_untouched_questions_get_zero_rows():
