@@ -8,10 +8,12 @@ Two interchange formats live here:
 * event CSV: the captured interaction log, one row per view/answer
   event, with epoch-millisecond timestamps.
 
-Everything parsed is immutable afterwards and safe to share between
-worker processes. Invariants are enforced at construction time:
-violations raise :class:`ValidationError`, syntactically malformed
-input raises :class:`ParseError`.
+Everything parsed is immutable afterwards. Invariants are enforced at
+construction time: violations raise :class:`ValidationError`,
+syntactically malformed input raises :class:`ParseError`.
+:func:`parse_event_log` is the boundary that validates event rows: it
+makes every check of :class:`AssessmentEvent` on each row, reporting the
+row's line, and builds the events without repeating those checks.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, TextIO, Union
 
 from .errors import ParseError, ValidationError
@@ -38,6 +41,7 @@ STANDARD_OPTION_IDS = ("a", "b", "c", "d", "e")
 DEFAULT_LU_DEVIATION = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 EVENT_CSV_HEADER = ("student_id", "question_id", "event", "option_id", "timestamp_ms")
+_RESERVED_ID_CHARS = frozenset(',"\n\r')
 
 SCOPE_QUESTIONNAIRE = "questionnaire"
 SCOPE_SUBJECT = "subject"
@@ -214,7 +218,7 @@ class QuestionnaireSpec:
         return tuple(layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssessmentEvent:
     """One logged interaction: a question view or an answer selection."""
 
@@ -227,11 +231,7 @@ class AssessmentEvent:
     def __post_init__(self) -> None:
         if not self.student_id:
             raise ValidationError("student_id must be non-empty", field="student_id")
-        if any(c in self.student_id for c in ',"\n\r'):
-            raise ValidationError(
-                f"student_id {self.student_id!r} contains characters the log format reserves",
-                field="student_id",
-            )
+        _check_reserved_chars(self.student_id)
         if not isinstance(self.question_id, int) or self.question_id < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
         if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
@@ -242,6 +242,15 @@ class AssessmentEvent:
             raise ValidationError("answer events need an option_id", field="option_id")
         if self.kind is EventKind.VIEW and self.option_id is not None:
             raise ValidationError("view events must not carry an option_id", field="option_id")
+
+
+def _check_reserved_chars(student_id: str, line: int | None = None) -> None:
+    if not _RESERVED_ID_CHARS.isdisjoint(student_id):
+        raise ValidationError(
+            f"student_id {student_id!r} contains characters the log format reserves",
+            field="student_id",
+            line=line,
+        )
 
 
 @dataclass(frozen=True)
@@ -430,8 +439,18 @@ def parse_event_log(text: TextSource, spec: QuestionnaireSpec) -> list[StudentSe
             line=1,
         )
 
+    # Every check of AssessmentEvent.__post_init__ is made below, once per
+    # row (the reserved characters once per student), so the events are
+    # built with object.__new__ and skip it.
+    question_by_raw_id = {
+        str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
+        for q in spec.questions
+    }
+    kind_by_raw = {kind.value: kind for kind in EventKind}
+    new_event = object.__new__
+    set_field = object.__setattr__
     events_by_student: dict[str, list[AssessmentEvent]] = {}
-    end_by_student: dict[str, int] = {}
+    end_by_student: dict[str, tuple[int, int]] = {}
     for row in reader:
         line = reader.line_num
         if not row:
@@ -457,43 +476,62 @@ def parse_event_log(text: TextSource, spec: QuestionnaireSpec) -> list[StudentSe
                 raise ValidationError(
                     f"duplicate end row for student {student_id!r}", field="event", line=line
                 )
-            end_by_student[student_id] = timestamp_ms
-            events_by_student.setdefault(student_id, [])
+            if student_id not in events_by_student:
+                _check_reserved_chars(student_id, line)
+                events_by_student[student_id] = []
+            end_by_student[student_id] = (timestamp_ms, line)
             continue
-        if raw_event not in (EventKind.VIEW.value, EventKind.ANSWER.value):
+        kind = kind_by_raw.get(raw_event)
+        if kind is None:
             raise ValidationError(
                 f"unknown event kind {raw_event!r}", field="event", line=line
             )
-        kind = EventKind(raw_event)
-        question_id = _parse_int(raw_qid, "question_id", line)
-        try:
-            question = spec.question(question_id)
-            if kind is EventKind.ANSWER:
-                question.option(raw_option)
-            elif raw_option:
+        question = question_by_raw_id.get(raw_qid)
+        if question is None:
+            # Spellings such as " 3", "03" or "+3" still name question 3.
+            question_id = _parse_int(raw_qid, "question_id", line)
+            try:
+                spec.question(question_id)
+            except ValidationError as exc:
+                raise exc.locate(line=line) from None
+            question = question_by_raw_id[str(question_id)]
+        question_id, option_ids = question
+        option_id = None
+        if kind is EventKind.ANSWER:
+            if raw_option not in option_ids:
                 raise ValidationError(
-                    "view rows must leave option_id empty", field="option_id"
+                    f"unknown option_id {raw_option!r}",
+                    field="option_id",
+                    question_id=question_id,
+                    line=line,
                 )
-            event = AssessmentEvent(
-                student_id=student_id,
-                question_id=question_id,
-                kind=kind,
-                option_id=raw_option if kind is EventKind.ANSWER else None,
-                timestamp_ms=timestamp_ms,
+            option_id = raw_option
+        elif raw_option:
+            raise ValidationError(
+                "view rows must leave option_id empty", field="option_id", line=line
             )
-        except ValidationError as exc:
-            raise exc.locate(line=line) from None
-        events_by_student.setdefault(student_id, []).append(event)
+        events = events_by_student.get(student_id)
+        if events is None:
+            _check_reserved_chars(student_id, line)
+            events = events_by_student[student_id] = []
+        event = new_event(AssessmentEvent)
+        set_field(event, "student_id", student_id)
+        set_field(event, "question_id", question_id)
+        set_field(event, "kind", kind)
+        set_field(event, "option_id", option_id)
+        set_field(event, "timestamp_ms", timestamp_ms)
+        events.append(event)
 
     sessions = []
     for student_id, events in events_by_student.items():
-        events.sort(key=lambda e: e.timestamp_ms)
+        events.sort(key=attrgetter("timestamp_ms"))
         last = events[-1].timestamp_ms if events else 0
-        end = end_by_student.get(student_id, last)
+        end, end_line = end_by_student.get(student_id, (last, None))
         if end < last:
             raise ValidationError(
                 f"end row for student {student_id!r} precedes their last event",
                 field="timestamp_ms",
+                line=end_line,
             )
         sessions.append(
             StudentSession(student_id=student_id, events=tuple(events), session_end_ms=end)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from edumetrics import (
+    AssessmentEvent,
     EventKind,
     ParseError,
     ValidationError,
@@ -220,6 +221,15 @@ def test_end_row_before_last_event_rejected():
         parse_event_log(text, spec)
 
 
+def test_end_row_before_last_event_names_its_line():
+    spec = make_spec(n=1)
+    text = event_csv(["s1,,end,,5000", "s2,1,answer,a,1", "s1,1,answer,a,9000"])
+    with pytest.raises(ValidationError) as err:
+        parse_event_log(text, spec)
+    assert err.value.field == "timestamp_ms"
+    assert err.value.line == 2
+
+
 def test_malformed_row_reports_line():
     spec = make_spec(n=1)
     with pytest.raises(ParseError) as err:
@@ -293,3 +303,59 @@ def test_negative_timestamp_rejected_with_line(rows, line):
     assert err.value.field == "timestamp_ms"
     assert err.value.line == line
     assert "precedes" not in str(err.value)
+
+
+RESERVED_IDS = [("a,b", '"a,b"', 2), ('a"b', '"a""b"', 2), ("a\nb", '"a\nb"', 3)]
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["{},1,view,,0", "{},1,answer,a,0", "{},,end,,0"],
+    ids=["view", "answer", "end"],
+)
+@pytest.mark.parametrize(
+    "quoted, line", [(q, line) for _, q, line in RESERVED_IDS], ids=["comma", "quote", "lf"]
+)
+def test_reserved_student_id_rejected_with_line(row, quoted, line):
+    with pytest.raises(ValidationError) as err:
+        parse_event_log(event_csv([row.format(quoted)]), make_spec(n=1))
+    assert err.value.field == "student_id"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "row, error, field",
+    [
+        *[(f"s1,{qid},{kind},{opt},0", ValidationError, "question_id")
+          for qid in ("0", "41", "-1") for kind, opt in (("view", ""), ("answer", "a"))],
+        *[(f"s1,{qid},{kind},{opt},0", ParseError, None)
+          for qid in ("x", "") for kind, opt in (("view", ""), ("answer", "a"))],
+        ("s1,1,answer,z,0", ValidationError, "option_id"),
+        ("s1,1,answer,,0", ValidationError, "option_id"),
+        ("s1,1,answer, a,0", ValidationError, "option_id"),
+        ("s1,1,view,a,0", ValidationError, "option_id"),
+    ],
+)
+def test_bad_event_row_rejected_with_field_and_line(row, error, field):
+    with pytest.raises(error) as err:
+        parse_event_log(event_csv(["s0,1,view,,0", row]), make_spec(n=40))
+    assert type(err.value) is error
+    assert getattr(err.value, "field", None) == field
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("raw", [" 3", "03", "+3", "3 "])
+def test_question_id_spellings_name_the_same_question(raw):
+    rows = [f"s1,{raw},view,,0", f"s1,{raw},answer,c,5"]
+    events = parse_event_log(event_csv(rows), make_spec(n=3))[0].events
+    assert [e.question_id for e in events] == [3, 3]
+
+
+@pytest.mark.parametrize("student_id", [sid for sid, _, _ in RESERVED_IDS])
+def test_event_constructor_rejects_reserved_student_id(student_id):
+    with pytest.raises(ValidationError) as err:
+        AssessmentEvent(
+            student_id=student_id, question_id=1, kind=EventKind.VIEW, option_id=None,
+            timestamp_ms=0,
+        )
+    assert err.value.field == "student_id"
