@@ -118,31 +118,20 @@ def classify_quadrant(ad: float, qucl: float, threshold: float = 0.5) -> Quadran
     return QuadrantLabel.Q4
 
 
-def _score_pairs(value) -> list[ScorePair]:
-    if (
-        isinstance(value, (tuple, list))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return [(float(value[0]), float(value[1]))]
-    return [(float(ts), float(ws)) for ts, ws in value]
-
-
 def rank_priorities(
-    per_element_ts_ws: Mapping[str | int, object],
+    per_element_ts_ws: Mapping[str | int, Sequence[ScorePair]],
     scope: Scope = Scope.STUDENT,
 ) -> list[PriorityRanking]:
     """Rank elements (subjects or topics) by normalized priority, descending.
 
-    Each mapping value is one (ts, ws) pair, or an iterable of
-    per-student pairs whose priorities are averaged first (class
-    scope). Priorities are normalized to [0, 1]; ties break on
-    ascending element id. Elements without any scores are dropped with
-    a warning.
+    Each mapping value is a sequence of (ts, ws) pairs, one per student,
+    whose priorities are averaged; at student scope it holds the one
+    student's pair. Priorities are normalized to [0, 1]; ties break on
+    ascending element id. Elements with no pairs are dropped with a
+    warning.
     """
     scored = []
-    for element, value in per_element_ts_ws.items():
-        pairs = _score_pairs(value) if value is not None else []
+    for element, pairs in per_element_ts_ws.items():
         if not pairs:
             logger.warning("element %r has no scores and was excluded from the ranking", element)
             continue

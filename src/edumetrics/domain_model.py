@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, TextIO, Union
+from typing import Iterable
 
 from .errors import ParseError, ValidationError
 
@@ -47,7 +47,7 @@ SCOPE_QUESTIONNAIRE = "questionnaire"
 SCOPE_SUBJECT = "subject"
 SCOPE_TOPIC = "topic"
 
-TextSource = Union[str, TextIO]
+MAX_TIMESTAMP_MS = 2**63 - 1  # keeps every class-wide sum of srt seconds finite
 
 
 class EventKind(Enum):
@@ -238,6 +238,10 @@ class AssessmentEvent:
             raise ValidationError(
                 "timestamp_ms must be a non-negative integer", field="timestamp_ms"
             )
+        if self.timestamp_ms > MAX_TIMESTAMP_MS:
+            raise ValidationError(
+                f"timestamp_ms must not exceed {MAX_TIMESTAMP_MS}", field="timestamp_ms"
+            )
         if self.kind is EventKind.ANSWER and not self.option_id:
             raise ValidationError("answer events need an option_id", field="option_id")
         if self.kind is EventKind.VIEW and self.option_id is not None:
@@ -276,10 +280,6 @@ class StudentSession:
                 "session_end_ms precedes the last event", field="session_end_ms"
             )
 
-    @property
-    def first_timestamp_ms(self) -> int | None:
-        return self.events[0].timestamp_ms if self.events else None
-
 
 def _get(mapping: dict, key: str, kinds, *, question_id: int | None = None):
     if key not in mapping:
@@ -302,15 +302,13 @@ def _get_float(mapping: dict, key: str, *, question_id: int | None = None) -> fl
         ) from None
 
 
-def parse_questionnaire(text: TextSource, *, allow_any_option_count: bool = False) -> QuestionnaireSpec:
-    """Parse and validate the questionnaire JSON format.
+def parse_questionnaire(text: str, *, allow_any_option_count: bool = False) -> QuestionnaireSpec:
+    """Parse and validate the questionnaire JSON format, given as a string.
 
     By default each question must offer exactly the five options
     ``a`` through ``e``; pass ``allow_any_option_count=True`` to accept
     any non-empty option list.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -416,29 +414,17 @@ def _parse_int(raw: str, field: str, line: int) -> int:
         raise ParseError(f"{field} must be an integer, got {raw!r}", line=line) from None
 
 
-def parse_event_log(text: TextSource, spec: QuestionnaireSpec) -> list[StudentSession]:
-    """Parse the event CSV into one session per student.
+def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
+    """Parse the event CSV, given as a string, into one session per student.
 
     Rows of different students may interleave; within a student, events
     are stably re-sorted by timestamp. The session end is the student's
     last timestamp unless an explicit ``end`` row (empty question_id and
-    option_id) provides one.
+    option_id) provides one. A line the ``csv`` module cannot read, such
+    as one with a field over its size limit, raises a located ParseError.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     if not text.strip():
         return []
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if tuple(header) != EVENT_CSV_HEADER:
-        raise ParseError(
-            f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
-            line=1,
-        )
-
     # Every check of AssessmentEvent.__post_init__ is made below, once per
     # row (the reserved characters once per student), so the events are
     # built with object.__new__ and skip it.
@@ -451,76 +437,89 @@ def parse_event_log(text: TextSource, spec: QuestionnaireSpec) -> list[StudentSe
     set_field = object.__setattr__
     events_by_student: dict[str, list[AssessmentEvent]] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(EVENT_CSV_HEADER):
-            raise ParseError(f"expected {len(EVENT_CSV_HEADER)} fields, got {len(row)}", line=line)
-        student_id, raw_qid, raw_event, raw_option, raw_ts = row
-        if not student_id:
-            raise ValidationError("student_id must be non-empty", field="student_id", line=line)
-        timestamp_ms = _parse_int(raw_ts, "timestamp_ms", line)
-        if timestamp_ms < 0:
-            raise ValidationError(
-                "timestamp_ms must be non-negative", field="timestamp_ms", line=line
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            return []
+        if tuple(header) != EVENT_CSV_HEADER:
+            raise ParseError(
+                f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
+                line=1,
             )
-        if raw_event == "end":
-            if raw_qid or raw_option:
-                raise ValidationError(
-                    "end rows must leave question_id and option_id empty",
-                    field="event",
-                    line=line,
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(EVENT_CSV_HEADER):
+                raise ParseError(
+                    f"expected {len(EVENT_CSV_HEADER)} fields, got {len(row)}", line=line
                 )
-            if student_id in end_by_student:
+            student_id, raw_qid, raw_event, raw_option, raw_ts = row
+            if not student_id:
+                raise ValidationError("student_id must be non-empty", field="student_id", line=line)
+            timestamp_ms = _parse_int(raw_ts, "timestamp_ms", line)
+            if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
+                reason = "be non-negative" if timestamp_ms < 0 else f"not exceed {MAX_TIMESTAMP_MS}"
+                raise ValidationError(f"timestamp_ms must {reason}", field="timestamp_ms", line=line)
+            if raw_event == "end":
+                if raw_qid or raw_option:
+                    raise ValidationError(
+                        "end rows must leave question_id and option_id empty",
+                        field="event",
+                        line=line,
+                    )
+                if student_id in end_by_student:
+                    raise ValidationError(
+                        f"duplicate end row for student {student_id!r}", field="event", line=line
+                    )
+                if student_id not in events_by_student:
+                    _check_reserved_chars(student_id, line)
+                    events_by_student[student_id] = []
+                end_by_student[student_id] = (timestamp_ms, line)
+                continue
+            kind = kind_by_raw.get(raw_event)
+            if kind is None:
                 raise ValidationError(
-                    f"duplicate end row for student {student_id!r}", field="event", line=line
+                    f"unknown event kind {raw_event!r}", field="event", line=line
                 )
-            if student_id not in events_by_student:
+            question = question_by_raw_id.get(raw_qid)
+            if question is None:
+                # Spellings such as " 3", "03" or "+3" still name question 3.
+                question_id = _parse_int(raw_qid, "question_id", line)
+                try:
+                    spec.question(question_id)
+                except ValidationError as exc:
+                    raise exc.locate(line=line) from None
+                question = question_by_raw_id[str(question_id)]
+            question_id, option_ids = question
+            option_id = None
+            if kind is EventKind.ANSWER:
+                if raw_option not in option_ids:
+                    raise ValidationError(
+                        f"unknown option_id {raw_option!r}",
+                        field="option_id",
+                        question_id=question_id,
+                        line=line,
+                    )
+                option_id = raw_option
+            elif raw_option:
+                raise ValidationError(
+                    "view rows must leave option_id empty", field="option_id", line=line
+                )
+            events = events_by_student.get(student_id)
+            if events is None:
                 _check_reserved_chars(student_id, line)
-                events_by_student[student_id] = []
-            end_by_student[student_id] = (timestamp_ms, line)
-            continue
-        kind = kind_by_raw.get(raw_event)
-        if kind is None:
-            raise ValidationError(
-                f"unknown event kind {raw_event!r}", field="event", line=line
-            )
-        question = question_by_raw_id.get(raw_qid)
-        if question is None:
-            # Spellings such as " 3", "03" or "+3" still name question 3.
-            question_id = _parse_int(raw_qid, "question_id", line)
-            try:
-                spec.question(question_id)
-            except ValidationError as exc:
-                raise exc.locate(line=line) from None
-            question = question_by_raw_id[str(question_id)]
-        question_id, option_ids = question
-        option_id = None
-        if kind is EventKind.ANSWER:
-            if raw_option not in option_ids:
-                raise ValidationError(
-                    f"unknown option_id {raw_option!r}",
-                    field="option_id",
-                    question_id=question_id,
-                    line=line,
-                )
-            option_id = raw_option
-        elif raw_option:
-            raise ValidationError(
-                "view rows must leave option_id empty", field="option_id", line=line
-            )
-        events = events_by_student.get(student_id)
-        if events is None:
-            _check_reserved_chars(student_id, line)
-            events = events_by_student[student_id] = []
-        event = new_event(AssessmentEvent)
-        set_field(event, "student_id", student_id)
-        set_field(event, "question_id", question_id)
-        set_field(event, "kind", kind)
-        set_field(event, "option_id", option_id)
-        set_field(event, "timestamp_ms", timestamp_ms)
-        events.append(event)
+                events = events_by_student[student_id] = []
+            event = new_event(AssessmentEvent)
+            set_field(event, "student_id", student_id)
+            set_field(event, "question_id", question_id)
+            set_field(event, "kind", kind)
+            set_field(event, "option_id", option_id)
+            set_field(event, "timestamp_ms", timestamp_ms)
+            events.append(event)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
     sessions = []
     for student_id, events in events_by_student.items():

@@ -46,12 +46,9 @@ class ScoreSeries:
     student_id: str
     element_id: str
     scores: tuple[float, ...]
-    n_assessments: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", tuple(self.scores))
-        if self.n_assessments is None:
-            object.__setattr__(self, "n_assessments", len(self.scores))
         if any(not 0.0 <= s <= 10.0 for s in self.scores):
             raise DomainError("scores must lie in [0, 10]")
 
@@ -88,7 +85,7 @@ def student_learning_rate(series: ScoreSeries) -> float:
     steps = sum(
         (b - a) * abs(b - a) for a, b in zip(series.scores, series.scores[1:])
     )
-    return steps / (series.n_assessments - 1)
+    return steps / (len(series.scores) - 1)
 
 
 def difficulty_level(slrs: Sequence[float]) -> float:

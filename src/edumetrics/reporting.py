@@ -368,10 +368,6 @@ def _render(value, newline: str, out: list[str]) -> None:
         out.append(str(value))
     elif isinstance(value, str):
         out.append(_quote(value))
-    elif isinstance(value, (list, tuple)):
-        _render(list(value), newline, out)
-    elif isinstance(value, Mapping):
-        _render(dict(value), newline, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 

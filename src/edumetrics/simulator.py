@@ -77,20 +77,11 @@ class BehaviorKind(Enum):
 
 # Per-question answer time as a fraction of the expected time: drawn
 # from (low, high], low excluded so the fast/slow boundary is respected.
-_DEFAULT_TIME_FRACTIONS = {
+_TIME_FRACTIONS = {
     BehaviorKind.ASSURED: (0.25, 1.0),
     BehaviorKind.GUESSER: (0.0, 0.25),
     BehaviorKind.SELF_CORRECTOR: (0.25, 1.0),
     BehaviorKind.DISORDERED: (0.25, 1.0),
-}
-
-_PROFILE_NAMES = {
-    "assured": BehaviorKind.ASSURED,
-    "guesser": BehaviorKind.GUESSER,
-    "self-corrector": BehaviorKind.SELF_CORRECTOR,
-    "self_corrector": BehaviorKind.SELF_CORRECTOR,
-    "selfcorrector": BehaviorKind.SELF_CORRECTOR,
-    "disordered": BehaviorKind.DISORDERED,
 }
 
 
@@ -98,28 +89,21 @@ _PROFILE_NAMES = {
 class BehaviorProfile:
     """A behavior kind plus the knobs that shape it.
 
-    ``seed`` fully determines the generated session. The time fraction
-    range applies to every kind; ``markings_range`` (or the explicit
-    ``markings_per_question``) only to the self-corrector and
-    ``shuffle_strength`` only to the disordered kind, where 1.0 is a
-    full shuffle and smaller values swap proportionally fewer question
-    pairs.
+    ``seed`` fully determines the generated session. Answer times are
+    drawn from the kind's fixed fraction range of the expected time, and
+    the disordered kind fully shuffles its visit order. ``markings_range``
+    (or the explicit ``markings_per_question``) applies only to the
+    self-corrector.
     """
 
     kind: BehaviorKind
     seed: int
-    time_fraction_range: tuple[float, float] | None = None
     markings_range: tuple[int, int] = (2, 5)
     markings_per_question: tuple[int, ...] | None = None
-    shuffle_strength: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= MASK64:
             raise DomainError("seed must fit in 64 bits")
-        if self.time_fraction_range is not None:
-            lo, hi = self.time_fraction_range
-            if not (lo >= 0 and hi > lo):
-                raise DomainError("time fractions must satisfy 0 <= low < high")
         lo, hi = self.markings_range
         if not 1 <= lo <= hi:
             raise DomainError("markings range must satisfy 1 <= low <= high")
@@ -127,16 +111,16 @@ class BehaviorProfile:
             object.__setattr__(self, "markings_per_question", tuple(self.markings_per_question))
             if any(m < 1 for m in self.markings_per_question):
                 raise DomainError("per-question markings must be at least 1")
-        if not 0.0 < self.shuffle_strength <= 1.0:
-            raise DomainError("shuffle strength must lie in (0, 1]")
 
 
 def profile_from_name(name: str, seed: int, **knobs) -> BehaviorProfile:
-    """Build a profile from its CLI name; unknown names raise DomainError."""
-    kind = _PROFILE_NAMES.get(name.strip().lower())
-    if kind is None:
-        known = ", ".join(sorted(set(_PROFILE_NAMES)))
-        raise DomainError(f"unknown profile {name!r}; known profiles: {known}")
+    """Build a profile from its CLI name, a :class:`BehaviorKind` value;
+    other names raise DomainError."""
+    try:
+        kind = BehaviorKind(name)
+    except ValueError:
+        known = ", ".join(member.value for member in BehaviorKind)
+        raise DomainError(f"unknown profile {name!r}; known profiles: {known}") from None
     return BehaviorProfile(kind=kind, seed=seed, **knobs)
 
 
@@ -152,14 +136,7 @@ def _visit_order(profile: BehaviorProfile, rng: SplitMix64, count: int) -> list[
         return order
     while True:
         shuffled = list(range(1, count + 1))
-        if profile.shuffle_strength >= 1.0:
-            rng.shuffle(shuffled)
-        else:
-            swaps = max(1, round(profile.shuffle_strength * count))
-            for _ in range(swaps):
-                i = rng.below(count)
-                j = rng.below(count)
-                shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        rng.shuffle(shuffled)
         # A monotonic visit order would show zero disorder; redraw, except
         # for tiny questionnaires where every order is monotonic.
         if count < 3 or not _is_monotonic(shuffled):
@@ -205,7 +182,7 @@ def simulate_student(
             f"for {spec.question_count} questions"
         )
     rng = SplitMix64(profile.seed)
-    fractions = profile.time_fraction_range or _DEFAULT_TIME_FRACTIONS[profile.kind]
+    fractions = _TIME_FRACTIONS[profile.kind]
     order = _visit_order(profile, rng, spec.question_count)
 
     events: list[AssessmentEvent] = []

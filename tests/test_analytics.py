@@ -125,7 +125,7 @@ def test_rank_priorities_student_scope():
     # Three-question topic: hits on two of three, weights 4, 2, 4.
     ts = 10 * 2 / 3
     ws = 10 * (4 + 2 + 4) / 12
-    rankings = rank_priorities({17: (ts, ws), 81: (10.0, 5.0)}, Scope.STUDENT)
+    rankings = rank_priorities({17: [(ts, ws)], 81: [(10.0, 5.0)]}, Scope.STUDENT)
     assert rankings[0].element == 17
     assert rankings[0].normalized_priority == pytest.approx(0.278, abs=5e-3)
     assert rankings[-1].element == 81
@@ -146,7 +146,7 @@ def test_rank_priorities_two_student_example():
 
 
 def test_rank_priorities_deterministic_under_permutation():
-    items = {"b": (5.0, 4.0), "a": (5.0, 4.0), "c": (1.0, 2.0)}
+    items = {"b": [(5.0, 4.0)], "a": [(5.0, 4.0)], "c": [(1.0, 2.0)]}
     forward = rank_priorities(items)
     backward = rank_priorities(dict(reversed(items.items())))
     assert [(r.rank, r.element) for r in forward] == [(r.rank, r.element) for r in backward]
@@ -155,7 +155,7 @@ def test_rank_priorities_deterministic_under_permutation():
 
 def test_rank_priorities_skips_empty_elements_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
-        rankings = rank_priorities({"full": (5.0, 5.0), "empty": []}, Scope.CLASS)
+        rankings = rank_priorities({"full": [(5.0, 5.0)], "empty": []}, Scope.CLASS)
     assert [r.element for r in rankings] == ["full"]
     assert any("empty" in record.message for record in caplog.records)
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from edumetrics import serialize_questionnaire
 from edumetrics.cli import build_parser
 from helpers import make_question, make_spec
@@ -332,3 +334,22 @@ def test_readme_lists_exactly_the_compute_options():
         if option.startswith("--") and option != "--help"
     }
     assert documented == options
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [("s1,1,answer,a,1" + "0" * 400, "line=3"), ("s1,1,answer,a," + "1" * 131_073, "(line 3)")],
+    ids=["huge-timestamp", "long-field"],
+)
+def test_compute_rejects_unreadable_event_row_with_its_line(tmp_path, row, where):
+    spec_path = write_spec(tmp_path, n=2)
+    events = tmp_path / "events.csv"
+    events.write_text(f"{EVENT_HEADER}\ns1,1,view,,0\n{row}\n", encoding="utf-8")
+    result = run_cli(
+        "compute", "--spec", str(spec_path), "--events", str(events),
+        "--out", str(tmp_path / "out"),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {events}: ")
+    assert where in result.stderr
+    assert "Traceback" not in result.stderr

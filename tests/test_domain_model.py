@@ -305,6 +305,63 @@ def test_negative_timestamp_rejected_with_line(rows, line):
     assert "precedes" not in str(err.value)
 
 
+HUGE_TIMESTAMP = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ([f"s1,,end,,{HUGE_TIMESTAMP}"], 2),
+        (["s1,1,view,,0", f"s1,1,answer,a,{HUGE_TIMESTAMP}"], 3),
+        ([f"s1,1,view,,{HUGE_TIMESTAMP}"], 2),
+        (["s1,1,view,,0", f"s1,1,answer,a,{2**63}"], 3),
+    ],
+    ids=["end", "answer", "view", "just-over"],
+)
+def test_timestamp_over_bound_rejected_with_line(rows, line):
+    with pytest.raises(ValidationError) as err:
+        parse_event_log(event_csv(rows), make_spec(n=1))
+    assert err.value.field == "timestamp_ms"
+    assert err.value.line == line
+
+
+def test_largest_timestamp_accepted():
+    rows = ["s1,1,view,,0", f"s1,1,answer,a,{2**63 - 1}"]
+    [session] = parse_event_log(event_csv(rows), make_spec(n=1))
+    assert session.session_end_ms == 2**63 - 1
+
+
+@pytest.mark.parametrize("timestamp_ms, ok", [(2**63 - 1, True), (2**63, False)])
+def test_event_constructor_bounds_timestamp(timestamp_ms, ok):
+    def build():
+        return AssessmentEvent(
+            student_id="s1", question_id=1, kind=EventKind.VIEW, option_id=None,
+            timestamp_ms=timestamp_ms,
+        )
+
+    if ok:
+        assert build().timestamp_ms == timestamp_ms
+    else:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.field == "timestamp_ms"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (event_csv(["s1,1,view,,0", "s1,1,answer,a," + "1" * 131_073]), 3),
+        (event_csv(["s1,1,view,,0", "s\r1,1,view,,5"]), 3),
+        ("student_id,question_id,event,option_id,timestamp_" + "m" * 131_073 + "\n", 1),
+    ],
+    ids=["long-field", "bare-cr", "long-header"],
+)
+def test_unreadable_csv_row_is_a_located_parse_error(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_event_log(text, make_spec(n=1))
+    assert err.value.line == line
+
+
 RESERVED_IDS = [("a,b", '"a,b"', 2), ('a"b', '"a""b"', 2), ("a\nb", '"a\nb"', 3)]
 
 

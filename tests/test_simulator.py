@@ -160,13 +160,16 @@ def test_unknown_profile_name_rejected():
         profile_from_name("sleepy", 1)
 
 
+def test_profile_name_spelling_variants_rejected():
+    for name in ("self_corrector", "selfcorrector", " assured", "Guesser"):
+        with pytest.raises(DomainError, match="known profiles: assured, guesser, "
+                           "self-corrector, disordered"):
+            profile_from_name(name, 1)
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         BehaviorProfile(kind=BehaviorKind.ASSURED, seed=-1)
-    with pytest.raises(DomainError):
-        BehaviorProfile(kind=BehaviorKind.DISORDERED, seed=1, shuffle_strength=0.0)
-    with pytest.raises(DomainError):
-        BehaviorProfile(kind=BehaviorKind.ASSURED, seed=1, time_fraction_range=(0.5, 0.25))
 
 
 def test_guesser_and_assured_separate_on_comprehension():
