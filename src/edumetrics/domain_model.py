@@ -12,8 +12,8 @@ Everything parsed is immutable afterwards. Invariants are enforced at
 construction time: violations raise :class:`ValidationError`,
 syntactically malformed input raises :class:`ParseError`.
 :func:`parse_event_log` is the boundary that validates event rows: it
-makes every check of :class:`AssessmentEvent` on each row, reporting the
-row's line, and builds the events without repeating those checks.
+makes every check of :class:`AssessmentEvent` and :class:`StudentSession`,
+reporting the line, and builds both without repeating those checks.
 """
 
 from __future__ import annotations
@@ -217,6 +217,15 @@ class QuestionnaireSpec:
             layout.append((SCOPE_TOPIC, topic, ids))
         return tuple(layout)
 
+    @cached_property
+    def subsets_of_question(self) -> tuple[tuple[int, ...], ...]:
+        """Per question, the indices into ``subset_layout`` of the question
+        sets that hold it, ascending. Built once per spec."""
+        return tuple(
+            tuple(i for i, (_, _, ids) in enumerate(self.subset_layout) if q.question_id in ids)
+            for q in self.questions
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class AssessmentEvent:
@@ -313,6 +322,10 @@ def parse_questionnaire(text: str, *, allow_any_option_count: bool = False) -> Q
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError:  # past the interpreter's int() digit cap, which stays as it is
+        raise ParseError("an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("arrays or objects are nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("top level must be a JSON object", field="questionnaire")
 
@@ -426,14 +439,16 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     if not text.strip():
         return []
     # Every check of AssessmentEvent.__post_init__ is made below, once per
-    # row (the reserved characters once per student), so the events are
-    # built with object.__new__ and skip it.
+    # row (the reserved characters once per student), and every check of
+    # StudentSession.__post_init__ once per student (events sorted and grouped
+    # by student id, the end against the last event), so both are built with
+    # object.__new__ and skip them.
     question_by_raw_id = {
         str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
         for q in spec.questions
     }
     kind_by_raw = {kind.value: kind for kind in EventKind}
-    new_event = object.__new__
+    new_object = object.__new__
     set_field = object.__setattr__
     events_by_student: dict[str, list[AssessmentEvent]] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
@@ -511,7 +526,7 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
             if events is None:
                 _check_reserved_chars(student_id, line)
                 events = events_by_student[student_id] = []
-            event = new_event(AssessmentEvent)
+            event = new_object(AssessmentEvent)
             set_field(event, "student_id", student_id)
             set_field(event, "question_id", question_id)
             set_field(event, "kind", kind)
@@ -532,9 +547,11 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
                 field="timestamp_ms",
                 line=end_line,
             )
-        sessions.append(
-            StudentSession(student_id=student_id, events=tuple(events), session_end_ms=end)
-        )
+        session = new_object(StudentSession)
+        set_field(session, "student_id", student_id)
+        set_field(session, "events", tuple(events))
+        set_field(session, "session_end_ms", end)
+        sessions.append(session)
     return sessions
 
 

@@ -165,7 +165,11 @@ def level_of_disorder(sequence: AnswerSequence) -> float:
     if len(ids) < 2:
         return 0.0
     in_order = sum(1 for a, b in zip(ids, ids[1:]) if a <= b)
-    out_of_order = len(ids) - 1 - in_order
+    return transition_entropy(in_order, len(ids) - 1 - in_order)
+
+
+def transition_entropy(in_order: int, out_of_order: int) -> float:
+    """Binary Shannon entropy of the two transition counts; 0 when either is 0."""
     if in_order == 0 or out_of_order == 0:
         return 0.0
     total = in_order + out_of_order

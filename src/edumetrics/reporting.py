@@ -24,19 +24,18 @@ from .analytics import (
     rank_priorities,
     srt_vs_expected,
 )
-from .composite_metrics import (
-    comprehension_for_response,
-    priority,
-    questionnaire_comprehension_level,
-)
+from .composite_metrics import priority, questionnaire_comprehension_level
 from .domain_model import (
     SCOPE_QUESTIONNAIRE,
     SCOPE_SUBJECT,
     SCOPE_TOPIC,
+    CORRECT_WEIGHT,
+    WS_WEIGHTS,
     QuestionnaireSpec,
     StudentSession,
 )
-from .isolated_metrics import QuestionSubset, level_of_disorder, question_doubt
+from .errors import DomainError
+from .isolated_metrics import QuestionSubset, question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 METRIC_KEYS = ("ts", "ws", "ad", "qucl")
@@ -119,56 +118,75 @@ def compute_student(
 ) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
-    Each per-question fact is computed once; every subset row of
-    ``spec.subset_layout`` is then made of sums of those facts over the
-    subset's questions, in the subset's order, which is the order the
-    metric definitions in :mod:`isolated_metrics` sum in. Disorder
-    filters the answer sequence once per subset.
+    Each per-question fact is computed once (qcl branch for branch as in
+    :func:`question_comprehension_level`); each row of ``spec.subset_layout``
+    sums them in the subset's order, as the metric definitions do. One walk
+    of the answer sequence counts every subset's transitions for disorder.
+    Difficulty indices and expected times are checked once per spec, when it
+    is built; weight and time per question; ad, ts and ws per subset.
     """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
+    # The row types check nothing: set their field dicts past the frozen __init__.
+    new_row, set_fields = object.__new__, object.__setattr__
 
+    # Per-question facts indexed by question id; slot 0 is unused.
+    weight, markings, srt, qcl = [0], [0], [0.0], [0.0]
     question_rows = []
-    correct, weight, markings, srt, qcl = {}, {}, {}, {}, {}
     for question in spec.questions:
-        qid = question.question_id
-        response = responses[qid]
-        row = QuestionRow(
-            question_id=qid,
-            markings=response.markings,
-            doubt=question_doubt(response),
-            weight=response.final_weight,
-            srt_s=response.srt_s,
-            qcl=comprehension_for_response(response, question),
-        )
+        response = responses[question.question_id]
+        w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
+        if w not in WS_WEIGHTS:
+            raise DomainError(f"answer weight must be one of {WS_WEIGHTS}, got {w}")
+        if srt_s < 0:
+            raise DomainError("response time must be non-negative")
+        ecl = float(question.qdi * question.cdi * w)
+        mcl = float(question.qdi * question.cdi * 4)
+        if srt_s <= t / 4:
+            level = ecl / (mcl * 4)
+        elif srt_s <= t:
+            level = ecl / mcl
+        else:
+            level = ecl / (mcl + (srt_s - t) / t)
+        row = new_row(QuestionRow)
+        set_fields(row, "__dict__", {
+            "question_id": question.question_id, "markings": response.markings,
+            "doubt": question_doubt(response), "weight": w, "srt_s": srt_s, "qcl": level,
+        })
         question_rows.append(row)
-        correct[qid] = 1 if response.is_correct else 0
-        weight[qid] = row.weight
-        markings[qid] = row.markings
-        srt[qid] = row.srt_s
-        qcl[qid] = row.qcl
+        weight.append(w)
+        markings.append(response.markings)
+        srt.append(srt_s)
+        qcl.append(level)
+
+    # Per subset: last question id answered (0: none), transitions, in-order ones.
+    layout, holders = spec.subset_layout, spec.subsets_of_question
+    last, steps, in_order = [0] * len(layout), [0] * len(layout), [0] * len(layout)
+    for qid, _ in sequence.entries:
+        for index in holders[qid - 1]:
+            if last[index]:
+                steps[index] += 1
+                in_order[index] += last[index] <= qid
+            last[index] = qid
 
     subset_rows = []
-    for scope, element, qids in spec.subset_layout:
+    for (scope, element, qids), ordered, total_steps in zip(layout, in_order, steps):
         count = len(qids)
-        hits = sum([correct[q] for q in qids])
+        weights = [weight[q] for q in qids]
+        hits = weights.count(CORRECT_WEIGHT)  # only a correct final answer weighs 4
         total_markings = sum([markings[q] for q in qids])
         ts = 10.0 * hits / count
-        ws = 10.0 * sum([weight[q] for q in qids]) / (4 * count)
+        ws = 10.0 * sum(weights) / (4 * count)
         ad = hits / total_markings if total_markings else 0.0
-        subset_rows.append(
-            SubsetRow(
-                scope=scope,
-                element=element,
-                ts=ts,
-                ws=ws,
-                ad=ad,
-                srt_s=sum([srt[q] for q in qids]),
-                disorder=level_of_disorder(sequence.restricted_to(qids)),
-                qucl=questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),
-                priority=priority(ts, ws),
-            )
-        )
+        row = new_row(SubsetRow)
+        set_fields(row, "__dict__", {
+            "scope": scope, "element": element, "ts": ts, "ws": ws, "ad": ad,
+            "srt_s": sum([srt[q] for q in qids]),
+            "disorder": transition_entropy(ordered, total_steps - ordered),
+            "qucl": questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),
+            "priority": priority(ts, ws),
+        })
+        subset_rows.append(row)
 
     overall = subset_rows[0]
     return StudentMetricsReport(

@@ -1,13 +1,12 @@
 """Per-question facts derived from one student's raw event stream.
 
 The derivation is pure: the same session always produces the same
-responses, so students can be processed in parallel without shared
-state.
+responses, and nothing is read or written besides the arguments and the
+returned values.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -107,29 +106,29 @@ def derive_responses(
     :func:`pick_log_srt_mode` of all its sessions.
     """
     mode = srt_mode or pick_srt_mode(session)
-    markings: Counter[int] = Counter()
-    final_option_id: dict[int, str] = {}
-    for event in session.events:
-        if event.kind is EventKind.ANSWER:
-            markings[event.question_id] += 1
-            final_option_id[event.question_id] = event.option_id
-
-    srt_ms: defaultdict[int, int] = defaultdict(int)
     events = session.events
+    answer = EventKind.ANSWER
+    markings, final_option_id, srt_ms = {}, {}, {}  # by question id
     if mode is SrtMode.VIEW_INTERVALS:
-        for index, event in enumerate(events):
-            until = (
-                events[index + 1].timestamp_ms
-                if index + 1 < len(events)
-                else session.session_end_ms
-            )
-            srt_ms[event.question_id] += until - event.timestamp_ms
+        # Each gap goes to the question of the event opening it (0, unread, before any).
+        current, since = 0, events[0].timestamp_ms if events else 0
+        for event in events:
+            srt_ms[current] = srt_ms.get(current, 0) + event.timestamp_ms - since
+            current, since = event.question_id, event.timestamp_ms
+            if event.kind is answer:
+                markings[current] = markings.get(current, 0) + 1
+                final_option_id[current] = event.option_id
+        srt_ms[current] = srt_ms.get(current, 0) + session.session_end_ms - since
     else:
-        answers = [e for e in events if e.kind is EventKind.ANSWER]
-        if answers:
-            srt_ms[answers[0].question_id] += answers[0].timestamp_ms - events[0].timestamp_ms
-            for previous, current in zip(answers, answers[1:]):
-                srt_ms[current.question_id] += current.timestamp_ms - previous.timestamp_ms
+        # The first answer is charged from the first event, view or not.
+        since = events[0].timestamp_ms if events else 0
+        for event in events:
+            if event.kind is answer:
+                qid = event.question_id
+                markings[qid] = markings.get(qid, 0) + 1
+                final_option_id[qid] = event.option_id
+                srt_ms[qid] = srt_ms.get(qid, 0) + event.timestamp_ms - since
+                since = event.timestamp_ms
 
     responses = {}
     for question in spec.questions:

@@ -125,3 +125,31 @@ def test_compute_on_mutated_inputs(spec_edits, event_edits):
         else:
             assert message == ""
             assert all((out / name).is_file() for name in REPORTS)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(digits=st.integers(min_value=1, max_value=6000),
+       depth=st.integers(min_value=0, max_value=3000))
+@example(digits=5000, depth=0)
+@example(digits=1, depth=200_000)
+def test_compute_on_long_numbers_and_deep_nesting(digits, depth):
+    body = json.dumps(dict(SPEC_DOC, max_total_time_s=0)).replace(
+        '"max_total_time_s": 0', '"max_total_time_s": ' + "7" * digits
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, events_path, out = Path(tmp, "spec.json"), Path(tmp, "events.csv"), Path(tmp, "out")
+        spec_path.write_text("[" * depth + body + "]" * depth, encoding="utf-8")
+        events_path.write_text(_edit_events([]), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(
+                ["compute", "--spec", str(spec_path), "--events", str(events_path),
+                 "--out", str(out), "--format", "csv"]
+            )
+        message = stderr.getvalue()
+        assert code == (0 if depth == 0 and digits <= 308 else 1), message
+        if code == 1:
+            assert message.startswith(f"error: {spec_path}: "), message
+            assert "Traceback" not in message
+        else:
+            assert all((out / name).is_file() for name in REPORTS)

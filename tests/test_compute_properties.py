@@ -7,7 +7,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edumetrics import (
     AssessmentEvent,
@@ -33,7 +33,7 @@ from edumetrics.reporting import compute_student
 from helpers import make_question, make_spec
 
 INDICES = st.sampled_from((1, 3, 5))
-# Non-integer times, and times whose quarter and whole fall on the generated gaps.
+# Non-integer times, some of them whole milliseconds even as quarters.
 EXPECTED_TIMES = st.one_of(
     st.sampled_from((0.25, 2.0, 7.5, 45.0, 90.5, 120.0)),
     st.floats(min_value=0.001, max_value=400.0),
@@ -59,24 +59,36 @@ def specs(draw):
     return make_spec(questions)
 
 
+def _gaps(*questions):
+    """0 to 200 s, or a quarter or the whole of an expected time of
+    ``questions``: the edges of the qcl branches."""
+    edges = [round(q.expected_time_s * f) for q in questions for f in (250, 1000)]
+    return st.sampled_from([0, *edges]) | st.integers(0, 200_000)
+
+
 @st.composite
 def sessions(draw, spec):
-    """Views and answers (re-marks included) with gaps of 0 to 200 s, and
-    a session end at or after the last event."""
+    """Views and answers, re-marks included, and a session end at or
+    after the last event. A gap may be an edge of the question it is
+    charged to in either srt mode: the one before it in view mode, the
+    one after it in answer mode."""
     stamp = draw(st.integers(min_value=0, max_value=10**6))
     events = []
+    question = None
     for _ in range(draw(st.integers(min_value=0, max_value=14))):
-        question = draw(st.sampled_from(spec.questions))
+        previous, question = question, draw(st.sampled_from(spec.questions))
         if draw(st.booleans()):
             kind, option_id = EventKind.ANSWER, draw(st.sampled_from(question.options)).option_id
         else:
             kind, option_id = EventKind.VIEW, None
-        stamp += draw(st.sampled_from([0, 1, 250, 30_000]) | st.integers(0, 200_000))
+        if previous is not None:
+            stamp += draw(_gaps(question, previous))
         events.append(
             AssessmentEvent(student_id="s", question_id=question.question_id, kind=kind,
                             option_id=option_id, timestamp_ms=stamp)
         )
-    end = stamp + draw(st.sampled_from([0, 0, 1, 5000]) | st.integers(0, 10**6))
+    last = [question] if question else []
+    end = stamp + draw(_gaps(*last) | st.integers(0, 10**6))
     return StudentSession(student_id="s", events=tuple(events), session_end_ms=end)
 
 
@@ -92,12 +104,14 @@ def _reference_responses(session, spec, mode):
     if mode is SrtMode.VIEW_INTERVALS:
         stamps = [e.timestamp_ms for e in events[1:]] + [session.session_end_ms]
         for event, until in zip(events, stamps):
-            srt_ms[event.question_id] = srt_ms.get(event.question_id, 0) + until - event.timestamp_ms
+            qid = event.question_id
+            srt_ms[qid] = srt_ms.get(qid, 0) + until - event.timestamp_ms
     else:
         answers = [e for e in events if e.kind is EventKind.ANSWER]
         starts = [events[0].timestamp_ms] + [a.timestamp_ms for a in answers] if answers else []
         for answer, start in zip(answers, starts):
-            srt_ms[answer.question_id] = srt_ms.get(answer.question_id, 0) + answer.timestamp_ms - start
+            qid = answer.question_id
+            srt_ms[qid] = srt_ms.get(qid, 0) + answer.timestamp_ms - start
     return {
         q.question_id: QuestionResponse(
             question_id=q.question_id,
@@ -117,10 +131,28 @@ def _subset(spec, row):
     return QuestionSubset.for_topic(spec, row.element)
 
 
+@st.composite
+def specs_and_sessions(draw):
+    spec = draw(specs())
+    return spec, draw(sessions(spec))
+
+
+def _one_answer(view_srt_ms):
+    """One question expected in 2 s, answered once; in view mode its srt
+    is ``view_srt_ms``."""
+    spec = make_spec([make_question(1, expected_time_s=2.0)])
+    answer = AssessmentEvent(student_id="s", question_id=1, kind=EventKind.ANSWER,
+                             option_id="a", timestamp_ms=1000)
+    return spec, StudentSession(student_id="s", events=(answer,),
+                                session_end_ms=1000 + view_srt_ms)
+
+
 @settings(max_examples=80, deadline=None, database=None)
-@given(data=st.data(), spec=specs())
-def test_compute_student_equals_metric_definitions(data, spec):
-    session = data.draw(sessions(spec))
+@given(case=specs_and_sessions())
+@example(case=_one_answer(500))  # srt is exactly a quarter of the expected time
+@example(case=_one_answer(2000))  # and exactly the expected time
+def test_compute_student_equals_metric_definitions(case):
+    spec, session = case
     sequence = derive_answer_sequence(session)
     for mode in (None, SrtMode.VIEW_INTERVALS, SrtMode.ANSWER_INTERVALS):
         report = compute_student(session, spec, mode)

@@ -6,6 +6,7 @@ from edumetrics import (
     AssessmentEvent,
     EventKind,
     ParseError,
+    StudentSession,
     ValidationError,
     event_log_csv,
     parse_event_log,
@@ -144,6 +145,20 @@ def test_malformed_json_reports_position():
     with pytest.raises(ParseError) as err:
         parse_questionnaire('{"questionnaire_id": "x",\n  "max_total_time_s": }')
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"max_total_time_s": ' + "7" * 5000 + "}", "an integer literal has too many digits"),
+        ("[" * 200_000, "arrays or objects are nested too deeply"),
+    ],
+    ids=["5000-digit-integer", "200000-brackets"],
+)
+def test_unreadable_spec_text_is_a_parse_error(text, reason):
+    with pytest.raises(ParseError) as err:
+        parse_questionnaire(text)
+    assert err.value.reason.startswith(reason)
 
 
 def test_parse_event_log_single_student():
@@ -416,3 +431,25 @@ def test_event_constructor_rejects_reserved_student_id(student_id):
             timestamp_ms=0,
         )
     assert err.value.field == "student_id"
+
+
+@pytest.mark.parametrize(
+    "events, end, field",
+    [
+        ([("s1", 2000), ("s1", 1000)], 3000, "timestamp_ms"),
+        ([("s1", 1000), ("s2", 2000)], 3000, "student_id"),
+        ([("s1", 1000), ("s1", 2000)], 1500, "session_end_ms"),
+    ],
+    ids=["out-of-order", "foreign-student", "end-before-last-event"],
+)
+def test_session_constructor_keeps_its_checks(events, end, field):
+    built = [
+        AssessmentEvent(
+            student_id=student_id, question_id=1, kind=EventKind.VIEW, option_id=None,
+            timestamp_ms=stamp,
+        )
+        for student_id, stamp in events
+    ]
+    with pytest.raises(ValidationError) as err:
+        StudentSession(student_id="s1", events=tuple(built), session_end_ms=end)
+    assert err.value.field == field

@@ -70,6 +70,10 @@ def test_event_log_round_trip(sessions, data):
     parsed = parse_event_log(text, SPEC)
     assert parsed == sessions
     for session in parsed:
+        assert session == StudentSession(
+            student_id=session.student_id, events=session.events,
+            session_end_ms=session.session_end_ms,
+        )
         for event in session.events:
             assert type(event) is AssessmentEvent
             rebuilt = AssessmentEvent(

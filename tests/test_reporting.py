@@ -3,6 +3,8 @@ import hashlib
 import pytest
 
 from edumetrics import (
+    AnswerSequence,
+    ComprehensionInputs,
     QuestionSubset,
     assurance_degree,
     comprehension_for_subset,
@@ -128,6 +130,25 @@ def test_subset_layout_is_built_once_per_spec():
     assert spec.subset_layout[0] == ("questionnaire", None, tuple(range(1, 13)))
     assert spec.subset_layout[1] == ("subject", "Algebra", (1, 2, 3, 4))
     assert spec.subset_layout[4][:2] == ("topic", 1)
+
+
+def test_compute_student_walks_the_answers_once(monkeypatch):
+    """No per-subset filter of the answer sequence and no per-question
+    ComprehensionInputs: either one raises here."""
+    spec = _overlapping_spec()
+    sessions = _sessions(spec)
+    expected = [compute_student(session, spec) for session in sessions]
+    holders = spec.subsets_of_question
+    assert holders is spec.subsets_of_question
+    assert holders[0] == (0, 1, 4, 6, 7)  # questionnaire, Algebra, topics 1, 3 and 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_student left the fused kernel")
+
+    monkeypatch.setattr(AnswerSequence, "restricted_to", refuse)
+    monkeypatch.setattr(ComprehensionInputs, "__post_init__", refuse)
+    assert [compute_student(session, spec) for session in sessions] == expected
+    assert spec.subsets_of_question is holders
 
 
 @pytest.mark.parametrize(
