@@ -127,8 +127,6 @@ def compute_student(
     """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
-    # The row types check nothing: set their field dicts past the frozen __init__.
-    new_row, set_fields = object.__new__, object.__setattr__
 
     # Per-question facts indexed by question id; slot 0 is unused.
     weight, markings, srt, qcl = [0], [0], [0.0], [0.0]
@@ -148,12 +146,10 @@ def compute_student(
             level = ecl / mcl
         else:
             level = ecl / (mcl + (srt_s - t) / t)
-        row = new_row(QuestionRow)
-        set_fields(row, "__dict__", {
-            "question_id": question.question_id, "markings": response.markings,
-            "doubt": question_doubt(response), "weight": w, "srt_s": srt_s, "qcl": level,
-        })
-        question_rows.append(row)
+        # Rows are built with positional arguments, cheaper than keywords.
+        question_rows.append(QuestionRow(
+            question.question_id, response.markings, question_doubt(response), w, srt_s, level
+        ))
         weight.append(w)
         markings.append(response.markings)
         srt.append(srt_s)
@@ -178,15 +174,13 @@ def compute_student(
         ts = 10.0 * hits / count
         ws = 10.0 * sum(weights) / (4 * count)
         ad = hits / total_markings if total_markings else 0.0
-        row = new_row(SubsetRow)
-        set_fields(row, "__dict__", {
-            "scope": scope, "element": element, "ts": ts, "ws": ws, "ad": ad,
-            "srt_s": sum([srt[q] for q in qids]),
-            "disorder": transition_entropy(ordered, total_steps - ordered),
-            "qucl": questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),
-            "priority": priority(ts, ws),
-        })
-        subset_rows.append(row)
+        subset_rows.append(SubsetRow(
+            scope, element, ts, ws, ad,
+            sum([srt[q] for q in qids]),  # srt_s
+            transition_entropy(ordered, total_steps - ordered),  # disorder
+            questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),  # qucl
+            priority(ts, ws),
+        ))
 
     overall = subset_rows[0]
     return StudentMetricsReport(

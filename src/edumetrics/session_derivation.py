@@ -135,10 +135,7 @@ def derive_responses(
         qid = question.question_id
         option = question.option(final_option_id[qid]) if qid in final_option_id else None
         responses[qid] = QuestionResponse(
-            question_id=qid,
-            markings=markings.get(qid, 0),
-            final_option=option,
-            srt_s=srt_ms.get(qid, 0) / 1000.0,
+            qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0
         )
     return responses
 
