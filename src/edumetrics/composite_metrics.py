@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .domain_model import DIFFICULTY_INDICES, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec
 from .errors import DomainError
@@ -69,7 +69,7 @@ def question_comprehension_level(inp: ComprehensionInputs) -> float:
     return ecl / (mcl + (inp.srt_s - t) / t)
 
 
-def questionnaire_comprehension_level(qcls: list[float], ad: float, q_count: int) -> float:
+def questionnaire_comprehension_level(qcls: Sequence[float], ad: float, q_count: int) -> float:
     """Assurance-penalized mean comprehension over a question set.
 
     Sum of the per-question comprehension levels divided by

@@ -128,8 +128,8 @@ def compute_student(
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
 
-    # Per-question facts indexed by question id; slot 0 is unused.
-    weight, markings, srt, qcl = [0], [0], [0.0], [0.0]
+    # (weight, markings, srt_s, qcl) indexed by question id; slot 0 is unused.
+    facts: list = [None]
     question_rows = []
     for question in spec.questions:
         response = responses[question.question_id]
@@ -150,10 +150,7 @@ def compute_student(
         question_rows.append(QuestionRow(
             question.question_id, response.markings, question_doubt(response), w, srt_s, level
         ))
-        weight.append(w)
-        markings.append(response.markings)
-        srt.append(srt_s)
-        qcl.append(level)
+        facts.append((w, response.markings, srt_s, level))
 
     # Per subset: last question id answered (0: none), transitions, in-order ones.
     layout, holders = spec.subset_layout, spec.subsets_of_question
@@ -168,17 +165,17 @@ def compute_student(
     subset_rows = []
     for (scope, element, qids), ordered, total_steps in zip(layout, in_order, steps):
         count = len(qids)
-        weights = [weight[q] for q in qids]
+        weights, markings, srts, qcls = zip(*[facts[q] for q in qids])
         hits = weights.count(CORRECT_WEIGHT)  # only a correct final answer weighs 4
-        total_markings = sum([markings[q] for q in qids])
+        total_markings = sum(markings)
         ts = 10.0 * hits / count
         ws = 10.0 * sum(weights) / (4 * count)
         ad = hits / total_markings if total_markings else 0.0
         subset_rows.append(SubsetRow(
             scope, element, ts, ws, ad,
-            sum([srt[q] for q in qids]),  # srt_s
+            sum(srts),  # srt_s
             transition_entropy(ordered, total_steps - ordered),  # disorder
-            questionnaire_comprehension_level([qcl[q] for q in qids], ad, count),  # qucl
+            questionnaire_comprehension_level(qcls, ad, count),  # qucl
             priority(ts, ws),
         ))
 
