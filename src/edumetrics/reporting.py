@@ -26,10 +26,10 @@ from .analytics import (
 )
 from .composite_metrics import priority, questionnaire_comprehension_level
 from .domain_model import (
+    CORRECT_WEIGHT,
     SCOPE_QUESTIONNAIRE,
     SCOPE_SUBJECT,
     SCOPE_TOPIC,
-    CORRECT_WEIGHT,
     WS_WEIGHTS,
     QuestionnaireSpec,
     StudentSession,
