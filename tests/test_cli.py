@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from edumetrics import serialize_questionnaire
-from edumetrics.cli import build_parser
+from edumetrics.cli import build_parser, main
 from helpers import make_question, make_spec
 
 EVENT_HEADER = "student_id,question_id,event,option_id,timestamp_ms"
@@ -152,6 +152,58 @@ def test_compute_empty_events(tmp_path):
     class_report = json.loads((out_dir / "class.json").read_text())
     assert class_report["no_students"] is True
     assert class_report["student_count"] == 0
+
+
+EMPTY_CLASS_REPORTS = {
+    "students.json": "[]\n",
+    "class.json": """{
+  "student_count": 0,
+  "no_students": true,
+  "srt_mode": "auto",
+  "threshold": 0.5000,
+  "notes": {
+    "general_rows": "aggregated over every question, not averaged over subjects"
+  },
+  "grouping": null,
+  "approval_splits": [],
+  "quadrants": {
+    "Q1": [],
+    "Q2": [],
+    "Q3": [],
+    "Q4": []
+  },
+  "subject_priorities": [],
+  "topic_priorities": [],
+  "srt_vs_expected": [],
+  "disorder": []
+}
+""",
+    "plotdata/groups_histogram.csv": "metric,group,count\n",
+    "plotdata/ad_vs_qucl.csv": "student_id,ad,qucl,quadrant\n",
+    "plotdata/subject_srt.csv": "subject,mean_srt_s\n",
+    "students.csv": "student_id,scope,element,ts,ws,ad,srt_s,disorder,qucl,priority,"
+    "quadrant,group_ts,group_ws,group_ad,group_qucl\n",
+    "questions.csv": "student_id,question_id,markings,doubt,weight,srt_s,qcl\n",
+}
+
+
+@pytest.mark.parametrize("log", [EVENT_HEADER + "\n", ""], ids=["header-only", "empty-file"])
+def test_compute_empty_class_report_bytes(tmp_path, log):
+    spec_path = write_spec(tmp_path)
+    events = tmp_path / "events.csv"
+    events.write_text(log, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "compute", "--spec", str(spec_path), "--events", str(events),
+            "--out", str(out_dir), "--format", "csv",
+        ]
+    )
+    assert code == 0
+    written = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
+    assert written == sorted(EMPTY_CLASS_REPORTS)
+    for name, text in EMPTY_CLASS_REPORTS.items():
+        assert (out_dir / name).read_bytes() == text.encode("utf-8"), name
 
 
 def test_compute_mismatched_events_exit_one(tmp_path):

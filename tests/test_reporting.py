@@ -5,23 +5,36 @@ import pytest
 from edumetrics import (
     AnswerSequence,
     ComprehensionInputs,
+    EventKind,
     QuestionSubset,
+    Scope,
+    StudentSession,
     assurance_degree,
+    build_grouping,
     comprehension_for_subset,
     derive_answer_sequence,
     derive_responses,
     event_log_csv,
     level_of_disorder,
+    pick_log_srt_mode,
     priority,
     profile_from_name,
+    rank_priorities,
     serialize_questionnaire,
     simulate_class,
     student_response_time,
     traditional_score,
     weighted_score,
 )
+from edumetrics import analytics
 from edumetrics.cli import main
-from edumetrics.reporting import compute_student, render_json
+from edumetrics.reporting import (
+    attach_group_indices,
+    build_class_summary,
+    compute_student,
+    render_json,
+    subject_srt_csv,
+)
 from helpers import make_question, make_spec
 
 PROFILES = ("assured", "guesser", "self-corrector", "disordered")
@@ -53,6 +66,23 @@ def _overlapping_spec():
             weights=((4, 3, 2, 1, 0), (0, 4, 3, 2, 1), (1, 0, 4, 3, 2))[i % 3],
         )
         for i in range(12)
+    ]
+    return make_spec(questions)
+
+
+def _unsorted_spec():
+    """9 questions whose subjects cycle B, A, C and whose topics descend."""
+    questions = [
+        make_question(
+            i + 1,
+            subject="BAC"[i % 3],
+            topics=((7 - i) % 4 + 1, (5 - i) % 6 + 3),
+            qdi=(5, 1, 3)[i % 3],
+            cdi=(3, 5, 1)[(i // 2) % 3],
+            expected_time_s=80.0 - 10 * (i % 3),
+            weights=((0, 4, 3, 2, 1), (4, 3, 2, 1, 0))[i % 2],
+        )
+        for i in range(9)
     ]
     return make_spec(questions)
 
@@ -122,6 +152,75 @@ def test_compute_student_rows_equal_metric_definitions():
             assert row.disorder == level_of_disorder(sequence.restricted_to(subset)), where
             assert row.qucl == comprehension_for_subset(responses, spec, subset), where
             assert row.priority == priority(ts, ws), where
+
+
+def _answers_only(session):
+    events = tuple(e for e in session.events if e.kind is EventKind.ANSWER)
+    return StudentSession(session.student_id, events, session.session_end_ms)
+
+
+@pytest.mark.parametrize("make", [_overlapping_spec, _unsorted_spec])
+@pytest.mark.parametrize("views", [True, False], ids=["views", "answers-only"])
+def test_class_tables_equal_library_definitions(make, views):
+    spec = make()
+    sessions = _sessions(spec, per_profile=3, seed=515)
+    if not views:
+        sessions = [_answers_only(s) for s in sessions]
+    mode = pick_log_srt_mode(sessions)
+    scheme = build_grouping(len(sessions))
+    reports = attach_group_indices([compute_student(s, spec, mode) for s in sessions], scheme)
+    summary = build_class_summary(reports, spec, scheme, 0.5, "auto")
+
+    responses = [derive_responses(s, spec, mode) for s in sessions]
+    sequences = [derive_answer_sequence(s) for s in sessions]
+    subjects = {s: QuestionSubset.for_subject(spec, s) for s in spec.subjects()}
+    topics = {t: QuestionSubset.for_topic(spec, t) for t in spec.topics()}
+
+    def ranking(subsets, label):
+        pairs = {
+            element: [
+                (traditional_score(r, spec, subset), weighted_score(r, spec, subset))
+                for r in responses
+            ]
+            for element, subset in subsets.items()
+        }
+        return [
+            {"rank": r.rank, label: r.element, "normalized_priority": r.normalized_priority}
+            for r in rank_priorities(pairs, Scope.CLASS)
+        ]
+
+    assert summary["subject_priorities"] == ranking(subjects, "subject")
+    assert summary["topic_priorities"] == ranking(topics, "topic")
+
+    disorder = [
+        (subject, *analytics.disorder_summary(sequences, subset))
+        for subject, subset in subjects.items()
+    ]
+    disorder.append(("General", *analytics.disorder_summary(sequences)))
+    assert [
+        (row["subject"], row["average"], row["percent_positive"]) for row in summary["disorder"]
+    ] == disorder
+
+    comparisons = analytics.srt_vs_expected(responses, spec, QuestionSubset.whole(spec))
+    assert summary["srt_vs_expected"] == [
+        {
+            "question_id": c.question_id,
+            "mean_srt_s": c.mean_srt_s,
+            "expected_time_s": c.expected_time_s,
+            "within_expected": c.within_expected,
+        }
+        for c in comparisons
+    ]
+
+    def mean_srt(subset):
+        total = sum(student_response_time(r, subset) / len(subset) for r in responses)
+        return format(total / len(responses), ".4f")
+
+    lines = [f"{s},{mean_srt(subset)}" for s, subset in subjects.items()]
+    lines.append(f"General,{mean_srt(QuestionSubset.whole(spec))}")
+    assert subject_srt_csv(reports, spec) == "subject,mean_srt_s\n" + "".join(
+        line + "\n" for line in lines
+    )
 
 
 def test_subset_layout_is_built_once_per_spec():
