@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .analytics import (
     GroupingScheme,
@@ -80,33 +81,22 @@ class StudentMetricsReport:
     questions: tuple[QuestionRow, ...]
     subsets: tuple[SubsetRow, ...]
     quadrant: QuadrantLabel
-    group_indices: Mapping[str, int] | None = None
+    group_indices: dict[str, int] | None = None
 
     @property
     def overall(self) -> SubsetRow:
         return self.subsets[0]
 
-    def normalized(self, metric: str) -> float:
-        """Questionnaire-scope metric value on the [0, 1] scale."""
-        row = self.overall
-        if metric == "ts":
-            return row.ts / 10.0
-        if metric == "ws":
-            return row.ws / 10.0
-        if metric == "ad":
-            return row.ad
-        if metric == "qucl":
-            return row.qucl
-        raise KeyError(metric)
-
     def as_dict(self) -> dict:
+        """JSON form. The row dicts are the rows' own ``vars``, not copies:
+        read them, do not change them."""
         return {
             "student_id": self.student_id,
             "quadrant": self.quadrant.value,
-            "group_indices": dict(self.group_indices) if self.group_indices else None,
+            "group_indices": self.group_indices,
             # Row fields are declared in report key order.
-            "questions": [dict(vars(q)) for q in self.questions],
-            "subsets": [dict(vars(s)) for s in self.subsets],
+            "questions": [vars(q) for q in self.questions],
+            "subsets": [vars(s) for s in self.subsets],
         }
 
 
@@ -188,41 +178,46 @@ def compute_student(
     )
 
 
+def _normalized(row: SubsetRow) -> tuple[float, float, float, float]:
+    """The row's metrics of ``METRIC_KEYS``, in that order, on the [0, 1] scale."""
+    return row.ts / 10.0, row.ws / 10.0, row.ad, row.qucl
+
+
 def attach_group_indices(
     reports: Sequence[StudentMetricsReport], scheme: GroupingScheme
 ) -> list[StudentMetricsReport]:
     """Fill each report's per-metric group index from the class scheme."""
-    attached = []
-    for report in reports:
-        indices = {
-            metric: assign_group(report.normalized(metric), scheme) for metric in METRIC_KEYS
-        }
-        attached.append(replace(report, group_indices=indices))
-    return attached
-
-
-def _rows_by_element(
-    reports: Sequence[StudentMetricsReport], scope: str
-) -> dict[str | int, list[SubsetRow]]:
-    """Each element's subset rows of the given scope, in student order."""
-    rows: dict[str | int, list[SubsetRow]] = {}
-    for report in reports:
-        for row in report.subsets:
-            if row.scope == scope:
-                rows.setdefault(row.element, []).append(row)
-    return rows
-
-
-def _ranking_rows(rows: dict[str | int, list[SubsetRow]], scope_label: str) -> list[dict]:
-    pairs = {element: [(r.ts, r.ws) for r in group] for element, group in rows.items()}
-    rankings = rank_priorities(pairs, Scope.CLASS)
     return [
-        {
-            "rank": r.rank,
-            scope_label: r.element,
-            "normalized_priority": r.normalized_priority,
-        }
-        for r in rankings
+        replace(report, group_indices={
+            metric: assign_group(value, scheme)
+            for metric, value in zip(METRIC_KEYS, _normalized(report.overall))
+        })
+        for report in reports
+    ]
+
+
+def _columns(
+    reports: Sequence[StudentMetricsReport], spec: QuestionnaireSpec, *scopes: str
+) -> Iterator[tuple[str | int, int, tuple[SubsetRow, ...]]]:
+    """(element, question count, rows in student order) of each question set
+    of the given scopes, scope by scope in ``spec.subset_layout`` order. The
+    questionnaire's element is "General". An empty class has no columns."""
+    for scope in scopes:
+        columns = zip(*[r.subsets for r in reports])
+        for (kind, element, qids), rows in zip(spec.subset_layout, columns):
+            if kind == scope:
+                yield ("General" if kind == SCOPE_QUESTIONNAIRE else element), len(qids), rows
+
+
+def _ranking_rows(
+    reports: Sequence[StudentMetricsReport], spec: QuestionnaireSpec, scope: str
+) -> list[dict]:
+    pairs = {
+        element: [(r.ts, r.ws) for r in rows] for element, _, rows in _columns(reports, spec, scope)
+    }
+    return [
+        {"rank": r.rank, scope: r.element, "normalized_priority": r.normalized_priority}
+        for r in rank_priorities(pairs, Scope.CLASS)
     ]
 
 
@@ -234,88 +229,64 @@ def build_class_summary(
     srt_mode_label: str,
 ) -> dict:
     """Class-level report: grouping, splits, quadrant roster, priorities,
-    time-vs-expected and disorder tables."""
-    count = len(reports)
-    summary: dict = {
-        "student_count": count,
-        "no_students": count == 0,
-        "srt_mode": srt_mode_label,
-        "threshold": threshold,
-        "notes": {
-            "general_rows": "aggregated over every question, not averaged over subjects",
-        },
-    }
-    if count == 0:
-        summary.update(
-            {
-                "grouping": None,
-                "approval_splits": [],
-                "quadrants": {label.value: [] for label in QuadrantLabel},
-                "subject_priorities": [],
-                "topic_priorities": [],
-                "srt_vs_expected": [],
-                "disorder": [],
-            }
-        )
-        return summary
-
-    assert scheme is not None
-    summary["grouping"] = {
-        "k": scheme.k,
-        "h": scheme.h,
-        "bounds": [
-            {"group": index + 1, "floor": floor, "ceiling": ceiling}
-            for index, (floor, ceiling) in enumerate(scheme.bounds)
-        ],
-    }
-
+    time-vs-expected and disorder tables. Each table reduces columns of the
+    class's report rows, so an empty class gets empty tables."""
     splits = []
-    for metric in METRIC_KEYS:
-        at_or_above, below = approval_split((r.normalized(metric) for r in reports), threshold)
+    for metric, column in zip(METRIC_KEYS, zip(*[_normalized(r.overall) for r in reports])):
+        at_or_above, below = approval_split(column, threshold)
         splits.append({"metric": metric, "at_or_above": at_or_above, "below": below})
-    summary["approval_splits"] = splits
 
     roster: dict[str, list[str]] = {label.value: [] for label in QuadrantLabel}
     for report in reports:
         roster[report.quadrant.value].append(report.student_id)
-    summary["quadrants"] = roster
-
-    subject_rows = _rows_by_element(reports, SCOPE_SUBJECT)
-    summary["subject_priorities"] = _ranking_rows(subject_rows, "subject")
-    summary["topic_priorities"] = _ranking_rows(_rows_by_element(reports, SCOPE_TOPIC), "topic")
 
     # A QuestionRow's srt_s is its QuestionResponse's srt_s.
     comparisons = srt_vs_expected(
         [{q.question_id: q for q in r.questions} for r in reports],
         spec,
         QuestionSubset.whole(spec),
-    )
-    summary["srt_vs_expected"] = [
-        {
-            "question_id": row.question_id,
-            "mean_srt_s": row.mean_srt_s,
-            "expected_time_s": row.expected_time_s,
-            "within_expected": row.within_expected,
-        }
-        for row in comparisons
-    ]
+    ) if reports else []
 
-    # Mean disorder and share of students with positive disorder, as in
-    # analytics.disorder_summary, read from the rows compute_student made.
-    disorder_rows = []
-    groups = list(subject_rows.items())
-    groups.append(("General", [report.overall for report in reports]))
-    for subject, rows in groups:
-        disorders = [row.disorder for row in rows]
-        disorder_rows.append(
+    return {
+        "student_count": len(reports),
+        "no_students": not reports,
+        "srt_mode": srt_mode_label,
+        "threshold": threshold,
+        "notes": {
+            "general_rows": "aggregated over every question, not averaged over subjects",
+        },
+        "grouping": None if scheme is None else {
+            "k": scheme.k,
+            "h": scheme.h,
+            "bounds": [
+                {"group": index + 1, "floor": floor, "ceiling": ceiling}
+                for index, (floor, ceiling) in enumerate(scheme.bounds)
+            ],
+        },
+        "approval_splits": splits,
+        "quadrants": roster,
+        "subject_priorities": _ranking_rows(reports, spec, SCOPE_SUBJECT),
+        "topic_priorities": _ranking_rows(reports, spec, SCOPE_TOPIC),
+        "srt_vs_expected": [
+            {
+                "question_id": row.question_id,
+                "mean_srt_s": row.mean_srt_s,
+                "expected_time_s": row.expected_time_s,
+                "within_expected": row.within_expected,
+            }
+            for row in comparisons
+        ],
+        # Mean disorder and share of students with positive disorder, as in
+        # analytics.disorder_summary, read from the rows compute_student made.
+        "disorder": [
             {
                 "subject": subject,
-                "average": sum(disorders) / len(disorders),
-                "percent_positive": sum(1 for d in disorders if d > 0) / len(disorders),
+                "average": sum(row.disorder for row in rows) / len(rows),
+                "percent_positive": sum(row.disorder > 0 for row in rows) / len(rows),
             }
-        )
-    summary["disorder"] = disorder_rows
-    return summary
+            for subject, _, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE)
+        ],
+    }
 
 
 # The C function behind json.dumps(str): the same bytes without its overhead.
@@ -399,13 +370,8 @@ def groups_histogram_csv(
     rows = []
     if scheme is not None:
         for metric in METRIC_KEYS:
-            counts: dict[int, int] = {}
-            for report in reports:
-                group = (report.group_indices or {}).get(metric)
-                if group is not None:
-                    counts[group] = counts.get(group, 0) + 1
-            for group in range(1, scheme.k + 1):
-                rows.append([metric, group, counts.get(group, 0)])
+            counts = Counter(report.group_indices[metric] for report in reports)
+            rows.extend([metric, group, counts[group]] for group in range(1, scheme.k + 1))
     return _csv_text(("metric", "group", "count"), rows)
 
 
@@ -421,15 +387,10 @@ def subject_srt_csv(
     reports: Sequence[StudentMetricsReport], spec: QuestionnaireSpec
 ) -> str:
     """Class mean per-question time per subject, plus a General row."""
-    rows = []
-    if reports:
-        by_subject = _rows_by_element(reports, SCOPE_SUBJECT)
-        for scope, subject, qids in spec.subset_layout:
-            if scope == SCOPE_SUBJECT:
-                per_student = [row.srt_s / len(qids) for row in by_subject[subject]]
-                rows.append([subject, sum(per_student) / len(reports)])
-        overall = [r.overall.srt_s / spec.question_count for r in reports]
-        rows.append(["General", sum(overall) / len(reports)])
+    rows = [
+        [subject, sum(row.srt_s / count for row in rows) / len(rows)]
+        for subject, count, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE)
+    ]
     return _csv_text(("subject", "mean_srt_s"), rows)
 
 
@@ -440,8 +401,7 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     header += [f"group_{metric}" for metric in METRIC_KEYS]
     rows = []
     for report in reports:
-        indices = report.group_indices or {}
-        overall = [report.quadrant.value, *(indices.get(m) for m in METRIC_KEYS)]
+        overall = [report.quadrant.value, *(report.group_indices[m] for m in METRIC_KEYS)]
         blank = [None] * len(overall)
         for row in report.subsets:
             tail = overall if row.scope == SCOPE_QUESTIONNAIRE else blank
