@@ -84,9 +84,13 @@ def run_compute(args: argparse.Namespace) -> int:
         sessions = parse_event_log(events_text, spec)
     except (ParseError, ValidationError) as exc:
         return _fail(f"{args.events}: {exc}", EXIT_INPUT)
+    # Nothing after compute_student reads the log text or the sessions: drop
+    # each after its last reader, so the class reduce and renders do not hold them.
+    del events_text
 
     srt_mode = _SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions)
     reports = [compute_student(s, spec, srt_mode, args.threshold) for s in sessions]
+    del sessions
     scheme = build_grouping(len(reports)) if reports else None
     if scheme is not None:
         reports = attach_group_indices(reports, scheme)
