@@ -176,11 +176,6 @@ class QuestionnaireSpec:
     def question_count(self) -> int:
         return len(self.questions)
 
-    @property
-    def max_weighted_points(self) -> int:
-        """Highest reachable weight sum: question count times the top weight."""
-        return self.question_count * CORRECT_WEIGHT
-
     def question(self, question_id: int) -> QuestionSpec:
         if not isinstance(question_id, int) or not 1 <= question_id <= len(self.questions):
             raise ValidationError(

@@ -45,10 +45,6 @@ class QuestionResponse:
             raise ValueError("final_option must be present exactly when markings >= 1")
 
     @property
-    def answered(self) -> bool:
-        return self.final_option is not None
-
-    @property
     def is_correct(self) -> bool:
         return self.final_option is not None and self.final_option.is_correct
 

@@ -55,7 +55,6 @@ def event_csv(rows):
 def test_parse_minimal_questionnaire():
     spec = parse_questionnaire(spec_text([question_doc(1)]))
     assert spec.question_count == 1
-    assert spec.max_weighted_points == 4
     weights = {o.option_id: o.ws_weight for o in spec.questions[0].options}
     assert weights == {"a": 4, "b": 3, "c": 2, "d": 1, "e": 0}
 
@@ -91,7 +90,6 @@ def test_forty_question_spec_across_ten_subjects():
     ]
     spec = parse_questionnaire(spec_text(questions))
     assert spec.question_count == 40
-    assert spec.max_weighted_points == 160
     assert len(spec.subjects()) == 10
 
 
