@@ -405,3 +405,113 @@ def test_compute_rejects_unreadable_event_row_with_its_line(tmp_path, row, where
     assert result.stderr.startswith(f"error: {events}: ")
     assert where in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def assert_one_error_line(capsys, argv, *fragments):
+    """main exits 1 after printing one ``error:`` line that holds each fragment."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+def written_files(root):
+    return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
+
+
+def test_compute_spec_not_utf8_names_file_and_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b'{\n  "questionnaire_id": "\xff"\n}\n')
+    events = tmp_path / "events.csv"
+    events.write_text(EVENT_HEADER + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert_one_error_line(
+        capsys,
+        ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir)],
+        f"error: {spec_path}: ", "UTF-8", "(line 2)",
+    )
+    assert written_files(out_dir) == []
+
+
+def test_simulate_spec_not_utf8_names_file_and_line(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b"\xff{}")
+    out = tmp_path / "events.csv"
+    assert_one_error_line(
+        capsys,
+        [
+            "simulate", "--spec", str(spec_path), "--profile", "assured",
+            "--count", "1", "--out", str(out),
+        ],
+        f"error: {spec_path}: ", "UTF-8", "(line 1)",
+    )
+    assert not out.exists()
+
+
+def test_compute_events_not_utf8_counts_crlf_lines(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, n=2)
+    events = tmp_path / "events.csv"
+    events.write_bytes(
+        EVENT_HEADER.encode() + b"\r\ns1,1,view,,0\r\ns1,1,answer,\xff,1000\r\n"
+    )
+    out_dir = tmp_path / "out"
+    assert_one_error_line(
+        capsys,
+        ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir)],
+        f"error: {events}: ", "UTF-8", "(line 3)",
+    )
+    assert written_files(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("1.5", "--threshold must lie in [0, 1], got 1.5"), ("nan", "--threshold must lie in [0, 1], got nan")],
+)
+def test_compute_threshold_out_of_range_exits_one(tmp_path, capsys, value, message):
+    spec_path = write_spec(tmp_path)
+    events = tmp_path / "events.csv"
+    events.write_text(EVENT_HEADER + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert_one_error_line(
+        capsys,
+        [
+            "compute", "--spec", str(spec_path), "--events", str(events),
+            "--out", str(out_dir), "--threshold", value,
+        ],
+        f"error: {message}\n",
+    )
+    assert written_files(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "--seed must fit in 64 bits"),
+        ("--seed", str(2**64), "--seed must fit in 64 bits"),
+        ("--count", "-1", "--count must be non-negative"),
+    ],
+)
+def test_simulate_argument_out_of_range_exits_one(tmp_path, capsys, flag, value, message):
+    spec_path = write_spec(tmp_path)
+    out = tmp_path / "events.csv"
+    argv = ["simulate", "--spec", str(spec_path), "--profile", "assured", "--out", str(out)]
+    argv += ["--count", "1", "--seed", "0", flag, value]
+    assert_one_error_line(capsys, argv, f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_compute_reads_the_spec_before_the_events(tmp_path, capsys):
+    spec_path = tmp_path / "broken.json"
+    spec_path.write_text("{not json", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert_one_error_line(
+        capsys,
+        [
+            "compute", "--spec", str(spec_path), "--events", str(tmp_path / "absent.csv"),
+            "--out", str(out_dir),
+        ],
+        f"error: {spec_path}: ",
+    )
+    assert written_files(out_dir) == []
