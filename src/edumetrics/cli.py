@@ -1,7 +1,11 @@
 """Command-line pipeline: parse inputs, compute metrics, emit reports.
 
-Exit codes: 0 on success, 1 for parse/validation problems (including an
-unknown simulation profile), 2 for I/O failures. Output files are
+Input files are read and parsed in order, spec first, so the first bad
+file is the one reported. ``main`` alone turns an error into an
+``error:`` line and an exit code: 0 on success; 1 for parse/validation
+problems, including input that is not UTF-8 (reported with its line), an
+out-of-range option value and an unknown simulation profile; 2 for I/O
+failures and, from argparse, command-line usage errors. Output files are
 written atomically (temp file in the target directory, then rename).
 """
 
@@ -15,7 +19,7 @@ from pathlib import Path
 
 from .analytics import build_grouping
 from .domain_model import event_log_csv, parse_event_log, parse_questionnaire
-from .errors import DomainError, ParseError, SimulationError, ValidationError
+from .errors import DomainError, EduMetricsError, ParseError
 from .reporting import (
     ad_vs_qucl_csv,
     attach_group_indices,
@@ -41,11 +45,6 @@ _SRT_MODES = {
 }
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _write_text(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -61,35 +60,35 @@ def _write_text(path: Path, data: str) -> None:
         raise
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _load(path: str, parse, *args, **kwargs):
+    """``parse(text, *args, **kwargs)`` on the UTF-8 text of ``path``.
+
+    A decode or parse failure is raised as an error whose message starts
+    with the path; the text is dropped when the parse returns.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # Count line breaks as read_text translates them: \n, \r\n and lone \r.
+        head = exc.object[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"{path}: not valid UTF-8: {exc.reason}", line=line) from exc
+    try:
+        return parse(text, *args, **kwargs)
+    except EduMetricsError as exc:
+        raise EduMetricsError(f"{path}: {exc}") from exc
 
 
-def run_compute(args: argparse.Namespace) -> int:
+def run_compute(args: argparse.Namespace) -> None:
     if not 0.0 <= args.threshold <= 1.0:
-        return _fail(f"--threshold must lie in [0, 1], got {args.threshold}", EXIT_INPUT)
+        raise DomainError(f"--threshold must lie in [0, 1], got {args.threshold}")
 
-    try:
-        spec_text = _read_text(args.spec)
-        events_text = _read_text(args.events)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        spec = parse_questionnaire(
-            spec_text, allow_any_option_count=args.allow_any_option_count
-        )
-    except (ParseError, ValidationError) as exc:
-        return _fail(f"{args.spec}: {exc}", EXIT_INPUT)
-    try:
-        sessions = parse_event_log(events_text, spec)
-    except (ParseError, ValidationError) as exc:
-        return _fail(f"{args.events}: {exc}", EXIT_INPUT)
-    # Nothing after compute_student reads the log text or the sessions: drop
-    # each after its last reader, so the class reduce and renders do not hold them.
-    del events_text
-
+    spec = _load(args.spec, parse_questionnaire, allow_any_option_count=args.allow_any_option_count)
+    sessions = _load(args.events, parse_event_log, spec)
     srt_mode = _SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions)
     reports = [compute_student(s, spec, srt_mode, args.threshold) for s in sessions]
+    # Nothing after compute_student reads the sessions: the class reduce and
+    # the renders need not hold them.
     del sessions
     scheme = build_grouping(len(reports)) if reports else None
     if scheme is not None:
@@ -97,49 +96,25 @@ def run_compute(args: argparse.Namespace) -> int:
     summary = build_class_summary(reports, spec, scheme, args.threshold, args.srt_mode)
 
     out_dir = Path(args.out)
-    try:
-        _write_text(out_dir / "students.json", render_json([r.as_dict() for r in reports]))
-        _write_text(out_dir / "class.json", render_json(summary))
-        plotdata = out_dir / "plotdata"
-        _write_text(plotdata / "groups_histogram.csv", groups_histogram_csv(reports, scheme))
-        _write_text(plotdata / "ad_vs_qucl.csv", ad_vs_qucl_csv(reports))
-        _write_text(plotdata / "subject_srt.csv", subject_srt_csv(reports, spec))
-        if args.format == "csv":
-            _write_text(out_dir / "students.csv", students_csv(reports))
-            _write_text(out_dir / "questions.csv", questions_csv(reports))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    return EXIT_OK
+    _write_text(out_dir / "students.json", render_json([r.as_dict() for r in reports]))
+    _write_text(out_dir / "class.json", render_json(summary))
+    plotdata = out_dir / "plotdata"
+    _write_text(plotdata / "groups_histogram.csv", groups_histogram_csv(reports, scheme))
+    _write_text(plotdata / "ad_vs_qucl.csv", ad_vs_qucl_csv(reports))
+    _write_text(plotdata / "subject_srt.csv", subject_srt_csv(reports, spec))
+    if args.format == "csv":
+        _write_text(out_dir / "students.csv", students_csv(reports))
+        _write_text(out_dir / "questions.csv", questions_csv(reports))
 
 
-def run_simulate(args: argparse.Namespace) -> int:
+def run_simulate(args: argparse.Namespace) -> None:
     if not 0 <= args.seed <= MASK64:
-        return _fail("--seed must fit in 64 bits", EXIT_INPUT)
+        raise DomainError("--seed must fit in 64 bits")
     if args.count < 0:
-        return _fail("--count must be non-negative", EXIT_INPUT)
-    try:
-        profile = profile_from_name(args.profile, args.seed)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        spec_text = _read_text(args.spec)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        spec = parse_questionnaire(
-            spec_text, allow_any_option_count=args.allow_any_option_count
-        )
-    except (ParseError, ValidationError) as exc:
-        return _fail(f"{args.spec}: {exc}", EXIT_INPUT)
-    try:
-        sessions = simulate_class(profile, spec, args.count)
-    except SimulationError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        _write_text(Path(args.out), event_log_csv(sessions))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    return EXIT_OK
+        raise DomainError("--count must be non-negative")
+    profile = profile_from_name(args.profile, args.seed)
+    spec = _load(args.spec, parse_questionnaire, allow_any_option_count=args.allow_any_option_count)
+    _write_text(Path(args.out), event_log_csv(simulate_class(profile, spec, args.count)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,10 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compute":
-        return run_compute(args)
-    return run_simulate(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        (run_compute if args.command == "compute" else run_simulate)(args)
+    except EduMetricsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
