@@ -23,7 +23,6 @@ from .analytics import (
     assign_group,
     classify_quadrant,
     rank_priorities,
-    srt_vs_expected,
 )
 from .composite_metrics import priority, questionnaire_comprehension_level
 from .domain_model import (
@@ -36,7 +35,7 @@ from .domain_model import (
     StudentSession,
 )
 from .errors import DomainError
-from .isolated_metrics import QuestionSubset, question_doubt, transition_entropy
+from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 METRIC_KEYS = ("ts", "ws", "ad", "qucl")
@@ -240,13 +239,6 @@ def build_class_summary(
     for report in reports:
         roster[report.quadrant.value].append(report.student_id)
 
-    # A QuestionRow's srt_s is its QuestionResponse's srt_s.
-    comparisons = srt_vs_expected(
-        [{q.question_id: q for q in r.questions} for r in reports],
-        spec,
-        QuestionSubset.whole(spec),
-    ) if reports else []
-
     return {
         "student_count": len(reports),
         "no_students": not reports,
@@ -267,14 +259,16 @@ def build_class_summary(
         "quadrants": roster,
         "subject_priorities": _ranking_rows(reports, spec, SCOPE_SUBJECT),
         "topic_priorities": _ranking_rows(reports, spec, SCOPE_TOPIC),
+        # Mean response time per question, as in analytics.srt_vs_expected,
+        # read from each question's column of rows.
         "srt_vs_expected": [
             {
-                "question_id": row.question_id,
-                "mean_srt_s": row.mean_srt_s,
-                "expected_time_s": row.expected_time_s,
-                "within_expected": row.within_expected,
+                "question_id": question.question_id,
+                "mean_srt_s": (mean := sum(row.srt_s for row in rows) / len(rows)),
+                "expected_time_s": question.expected_time_s,
+                "within_expected": mean <= question.expected_time_s,
             }
-            for row in comparisons
+            for question, rows in zip(spec.questions, zip(*[r.questions for r in reports]))
         ],
         # Mean disorder and share of students with positive disorder, as in
         # analytics.disorder_summary, read from the rows compute_student made.
