@@ -12,6 +12,7 @@ from enum import Enum
 from typing import Iterable
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
+from .errors import DomainError
 
 
 class SrtMode(Enum):
@@ -42,7 +43,7 @@ class QuestionResponse:
 
     def __post_init__(self) -> None:
         if (self.final_option is not None) != (self.markings >= 1):
-            raise ValueError("final_option must be present exactly when markings >= 1")
+            raise DomainError("final_option must be present exactly when markings >= 1")
 
     @property
     def is_correct(self) -> bool:

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from edumetrics import (
+    AnswerOption,
+    DomainError,
+    QuestionResponse,
     SrtMode,
     derive_answer_sequence,
     derive_responses,
@@ -26,6 +29,16 @@ def test_markings_and_final_options():
     assert responses[2].markings == 1
     assert responses[1].final_option.option_id == "c"
     assert responses[2].final_option.option_id == "b"
+
+
+@pytest.mark.parametrize(
+    "markings, final_option",
+    [(0, AnswerOption("a", 4, 5)), (1, None)],
+    ids=["option-without-markings", "markings-without-option"],
+)
+def test_question_response_rejects_option_marking_mismatch(markings, final_option):
+    with pytest.raises(DomainError, match="final_option must be present exactly"):
+        QuestionResponse(question_id=1, markings=markings, final_option=final_option, srt_s=0.0)
 
 
 def test_answer_interval_attribution_charges_the_later_answer():
