@@ -388,6 +388,22 @@ def test_readme_lists_exactly_the_compute_options():
     assert documented == options
 
 
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    write_spec(tmp_path, n=2)
+    (tmp_path / "events.csv").write_text(
+        EVENT_HEADER + "\ns1,1,answer,a,1000\ns1,2,answer,b,2000\ns2,2,answer,a,500\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [words[0] for words in printed] == ["s1", "s2"]
+    assert [len(words) for words in printed] == [3, 3]
+
+
 @pytest.mark.parametrize(
     "row, where",
     [("s1,1,answer,a,1" + "0" * 400, "line=3"), ("s1,1,answer,a," + "1" * 131_073, "(line 3)")],
