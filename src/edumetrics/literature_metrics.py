@@ -3,9 +3,9 @@ difficulty level."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
-from statistics import fmean
 from typing import Sequence
 
 from .domain_model import DIFFICULTY_INDICES, LU_DEVIATIONS
@@ -89,7 +89,8 @@ def student_learning_rate(series: ScoreSeries) -> float:
 
 
 def difficulty_level(slrs: Sequence[float]) -> float:
-    """Mean learning rate over all students of one element."""
+    """Mean learning rate over all students of one element: the same float
+    as ``statistics.fmean(slrs)``."""
     if not slrs:
         raise DomainError("difficulty level needs at least one learning rate")
-    return fmean(slrs)
+    return math.fsum(slrs) / len(slrs)

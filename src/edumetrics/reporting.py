@@ -3,7 +3,10 @@ plot-data tables behind them.
 
 Serialized output is byte-stable: dictionary key order is fixed by
 construction and every decimal is rendered with four fractional digits
-(round-half-even), so identical inputs produce identical files.
+(round-half-even), so identical inputs produce identical files. The
+per-student rows (``QuestionRow``, ``SubsetRow``) are written from their
+field list: one %-template per row class for students.json and one for
+the flat CSVs, built once from ``dataclasses.fields``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 from .analytics import (
     GroupingScheme,
@@ -87,15 +91,15 @@ class StudentMetricsReport:
         return self.subsets[0]
 
     def as_dict(self) -> dict:
-        """JSON form. The row dicts are the rows' own ``vars``, not copies:
-        read them, do not change them."""
+        """JSON form. The rows are the frozen rows themselves:
+        :func:`render_json` writes each one from its field list, in
+        declaration order."""
         return {
             "student_id": self.student_id,
             "quadrant": self.quadrant.value,
             "group_indices": self.group_indices,
-            # Row fields are declared in report key order.
-            "questions": [vars(q) for q in self.questions],
-            "subsets": [vars(s) for s in self.subsets],
+            "questions": self.questions,
+            "subsets": self.subsets,
         }
 
 
@@ -286,9 +290,60 @@ def build_class_summary(
 # The C function behind json.dumps(str): the same bytes without its overhead.
 _quote = json.encoder.encode_basestring_ascii
 
+# %-directives by field annotation, a string under postponed evaluation.
+# '%.4f' % x is format(x, ".4f").
+_DIRECTIVES = {"int": "%d", "float": "%.4f"}
+
+
+class _RowFormat:
+    """One %-template for a row class, from its field list: ``int`` fields
+    use ``%d``, ``float`` fields ``%.4f`` and the rest ``%s``, with each of
+    their values passed through ``convert``. Each field's part is ``item``
+    formatted with its JSON-quoted name as ``key`` and its ``directive``."""
+
+    def __init__(self, cls: type, item: str, separator: str, prefix: str = "", suffix: str = ""):
+        directives = [(f.name, _DIRECTIVES.get(f.type, "%s")) for f in fields(cls)]
+        items = [item.format(key=_quote(name), directive=d) for name, d in directives]
+        self.template = prefix + separator.join(items) + suffix
+        self.values = attrgetter(*[name for name, _ in directives])
+        self.converted = [i for i, (_, d) in enumerate(directives) if d == "%s"]
+
+    def __call__(self, row, convert: Callable[[object], str]) -> str:
+        values = self.values(row)
+        if self.converted:
+            values = list(values)
+            for i in self.converted:
+                values[i] = convert(values[i])
+        return self.template % tuple(values)
+
+
+_ROW_CLASSES = (QuestionRow, SubsetRow)
+_CSV_ROWS = {cls: _RowFormat(cls, "{directive}", ",") for cls in _ROW_CLASSES}
+# JSON formats by (row class, line break plus indent), built on first use.
+_JSON_ROWS: dict[tuple[type, str], _RowFormat] = {}
+
+
+def _json_field(value: str | int | None) -> str:
+    """JSON text of a row's str, int or None field."""
+    if value is None:
+        return "null"
+    return _quote(value) if type(value) is str else str(value)
+
+
+def _json_row(row, newline: str) -> str:
+    key = (type(row), newline)
+    if key not in _JSON_ROWS:
+        inner = newline + "  "
+        _JSON_ROWS[key] = _RowFormat(
+            type(row), "{key}: {directive}", "," + inner, "{" + inner, newline + "}"
+        )
+    return _JSON_ROWS[key](row, _json_field)
+
 
 def render_json(value) -> str:
-    """Serialize to JSON with fixed key order and 4-digit decimals."""
+    """Serialize to JSON with fixed key order and 4-digit decimals.
+    ``QuestionRow`` and ``SubsetRow`` values are written as objects of
+    their fields."""
     out: list[str] = []
     _render(value, "\n", out)
     out.append("\n")
@@ -319,6 +374,8 @@ def _render(value, newline: str, out: list[str]) -> None:
                 _render(item, inner, out)
             separator = "," + inner
         out.append(newline + "}")
+    elif kind in _ROW_CLASSES:
+        out.append(_json_row(value, newline))
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
@@ -357,6 +414,17 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buffer.getvalue()
 
 
+class _CsvCells(dict):
+    """Text of each value as ``csv.writer`` writes it between other fields,
+    worked out once per distinct value."""
+
+    def __missing__(self, value) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow((value, None))
+        text = self[value] = buffer.getvalue()[:-2]  # without the ",\n" of None
+        return text
+
+
 def groups_histogram_csv(
     reports: Sequence[StudentMetricsReport], scheme: GroupingScheme | None
 ) -> str:
@@ -389,22 +457,31 @@ def subject_srt_csv(
 
 
 def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
-    """Flat form of the per-student reports, one row per subset; the
-    quadrant and group columns are filled on the questionnaire row only."""
+    """Flat form of the per-student reports, one line per subset row, written
+    from ``SubsetRow``'s field list; the quadrant and group columns are
+    filled on the questionnaire row only."""
     header = ["student_id", *(f.name for f in fields(SubsetRow)), "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
-    rows = []
+    write_row, cells = _CSV_ROWS[SubsetRow], _CsvCells()
+    blank = "," * (1 + len(METRIC_KEYS)) + "\n"  # the quadrant and group cells
+    lines = [_csv_text(header, ())]
     for report in reports:
-        overall = [report.quadrant.value, *(report.group_indices[m] for m in METRIC_KEYS)]
-        blank = [None] * len(overall)
+        student = cells[report.student_id] + ","
+        tail = [report.quadrant.value, *(report.group_indices[m] for m in METRIC_KEYS)]
+        overall = "".join(["," + cells[v] for v in tail]) + "\n"
         for row in report.subsets:
-            tail = overall if row.scope == SCOPE_QUESTIONNAIRE else blank
-            rows.append([report.student_id, *vars(row).values(), *tail])
-    return _csv_text(header, rows)
+            end = overall if row.scope == SCOPE_QUESTIONNAIRE else blank
+            lines.append(student + write_row(row, cells.__getitem__) + end)
+    return "".join(lines)
 
 
 def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
-    """Flat form of the per-question rows."""
+    """Flat form of the per-question rows, written from ``QuestionRow``'s
+    field list."""
     header = ["student_id", *(f.name for f in fields(QuestionRow))]
-    rows = [[r.student_id, *vars(q).values()] for r in reports for q in r.questions]
-    return _csv_text(header, rows)
+    write_row, cells = _CSV_ROWS[QuestionRow], _CsvCells()
+    lines = [_csv_text(header, ())]
+    for report in reports:
+        student = cells[report.student_id] + ","
+        lines.extend([student + write_row(q, cells.__getitem__) + "\n" for q in report.questions])
+    return "".join(lines)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from edumetrics import serialize_questionnaire
+from edumetrics import reporting, serialize_questionnaire
 from edumetrics.cli import build_parser, main
 from helpers import make_question, make_spec
 
@@ -386,6 +386,12 @@ def test_readme_lists_exactly_the_compute_options():
         if option.startswith("--") and option != "--help"
     }
     assert documented == options
+
+
+def test_readme_names_the_flat_csv_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for header in (reporting.students_csv([]), reporting.questions_csv([])):
+        assert f"columns `{header.strip()}`" in readme
 
 
 def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
