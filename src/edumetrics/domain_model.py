@@ -270,6 +270,9 @@ class StudentSession:
     session_end_ms: int
 
     def __post_init__(self) -> None:
+        if not self.student_id:
+            raise ValidationError("student_id must be non-empty", field="student_id")
+        _check_reserved_chars(self.student_id)
         object.__setattr__(self, "events", tuple(self.events))
         stamps = [e.timestamp_ms for e in self.events]
         if any(a > b for a, b in zip(stamps, stamps[1:])):
@@ -435,9 +438,9 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
         return []
     # Every check of AssessmentEvent.__post_init__ is made below, once per
     # row (the reserved characters once per student), and every check of
-    # StudentSession.__post_init__ once per student (events sorted and grouped
-    # by student id, the end against the last event), so both are built with
-    # object.__new__ and skip them.
+    # StudentSession.__post_init__ once per student (the same id checks, events
+    # sorted and grouped by student id, the end against the last event), so
+    # both are built with object.__new__ and skip them.
     question_by_raw_id = {
         str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
         for q in spec.questions

@@ -4,9 +4,9 @@ plot-data tables behind them.
 Serialized output is byte-stable: dictionary key order is fixed by
 construction and every decimal is rendered with four fractional digits
 (round-half-even), so identical inputs produce identical files. The
-per-student rows (``QuestionRow``, ``SubsetRow``) are written from their
-field list: one %-template per row class for students.json and one for
-the flat CSVs, built once from ``dataclasses.fields``.
+per-student rows (``QuestionRow``, ``SubsetRow``) are named tuples written
+from their field list: one %-template per row class for students.json and
+one for the flat CSVs, built once from ``_fields`` and the annotations.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from .analytics import (
     GroupingScheme,
@@ -45,8 +43,7 @@ from .session_derivation import SrtMode, derive_answer_sequence, derive_response
 METRIC_KEYS = ("ts", "ws", "ad", "qucl")
 
 
-@dataclass(frozen=True)
-class QuestionRow:
+class QuestionRow(NamedTuple):
     """Per-question facts and scores for one student."""
 
     question_id: int
@@ -57,8 +54,7 @@ class QuestionRow:
     qcl: float
 
 
-@dataclass(frozen=True)
-class SubsetRow:
+class SubsetRow(NamedTuple):
     """Metric vector of one question set (whole questionnaire, subject or topic)."""
 
     scope: str
@@ -72,8 +68,7 @@ class SubsetRow:
     priority: float
 
 
-@dataclass(frozen=True)
-class StudentMetricsReport:
+class StudentMetricsReport(NamedTuple):
     """Everything reported about one student.
 
     ``group_indices`` is filled in a second pass once the class size,
@@ -91,9 +86,9 @@ class StudentMetricsReport:
         return self.subsets[0]
 
     def as_dict(self) -> dict:
-        """JSON form. The rows are the frozen rows themselves:
-        :func:`render_json` writes each one from its field list, in
-        declaration order."""
+        """JSON form. The rows are the named tuples themselves:
+        :func:`render_json` writes each one positionally from its field
+        list, in declaration order."""
         return {
             "student_id": self.student_id,
             "quadrant": self.quadrant.value,
@@ -121,9 +116,8 @@ def compute_student(
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
 
-    # (weight, markings, srt_s, qcl) indexed by question id; slot 0 is unused.
-    facts: list = [None]
-    question_rows = []
+    # Question rows indexed by question id; slot 0 is unused.
+    rows: list = [None]
     for question in spec.questions:
         response = responses[question.question_id]
         w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
@@ -140,10 +134,9 @@ def compute_student(
         else:
             level = ecl / (mcl + (srt_s - t) / t)
         # Rows are built with positional arguments, cheaper than keywords.
-        question_rows.append(QuestionRow(
+        rows.append(QuestionRow(
             question.question_id, response.markings, question_doubt(response), w, srt_s, level
         ))
-        facts.append((w, response.markings, srt_s, level))
 
     # Per subset: last question id answered (0: none), transitions, in-order ones.
     layout, holders = spec.subset_layout, spec.subsets_of_question
@@ -158,7 +151,7 @@ def compute_student(
     subset_rows = []
     for (scope, element, qids), ordered, total_steps in zip(layout, in_order, steps):
         count = len(qids)
-        weights, markings, srts, qcls = zip(*[facts[q] for q in qids])
+        _, markings, _, weights, srts, qcls = zip(*[rows[q] for q in qids])
         hits = weights.count(CORRECT_WEIGHT)  # only a correct final answer weighs 4
         total_markings = sum(markings)
         ts = 10.0 * hits / count
@@ -175,7 +168,7 @@ def compute_student(
     overall = subset_rows[0]
     return StudentMetricsReport(
         student_id=session.student_id,
-        questions=tuple(question_rows),
+        questions=tuple(rows[1:]),
         subsets=tuple(subset_rows),
         quadrant=classify_quadrant(overall.ad, overall.qucl, threshold),
     )
@@ -191,7 +184,7 @@ def attach_group_indices(
 ) -> list[StudentMetricsReport]:
     """Fill each report's per-metric group index from the class scheme."""
     return [
-        replace(report, group_indices={
+        report._replace(group_indices={
             metric: assign_group(value, scheme)
             for metric, value in zip(METRIC_KEYS, _normalized(report.overall))
         })
@@ -290,31 +283,32 @@ def build_class_summary(
 # The C function behind json.dumps(str): the same bytes without its overhead.
 _quote = json.encoder.encode_basestring_ascii
 
-# %-directives by field annotation, a string under postponed evaluation.
+# %-directives by field type, as typing.get_type_hints resolves it.
 # '%.4f' % x is format(x, ".4f").
-_DIRECTIVES = {"int": "%d", "float": "%.4f"}
+_DIRECTIVES = {int: "%d", float: "%.4f"}
 
 
 class _RowFormat:
-    """One %-template for a row class, from its field list: ``int`` fields
-    use ``%d``, ``float`` fields ``%.4f`` and the rest ``%s``, with each of
-    their values passed through ``convert``. Each field's part is ``item``
+    """One %-template for a named-tuple row class, from its field list:
+    ``int`` fields use ``%d``, ``float`` fields ``%.4f`` and the rest ``%s``,
+    with each of their values passed through ``convert``. The row is the
+    template's argument tuple, in field order. Each field's part is ``item``
     formatted with its JSON-quoted name as ``key`` and its ``directive``."""
 
     def __init__(self, cls: type, item: str, separator: str, prefix: str = "", suffix: str = ""):
-        directives = [(f.name, _DIRECTIVES.get(f.type, "%s")) for f in fields(cls)]
-        items = [item.format(key=_quote(name), directive=d) for name, d in directives]
+        hints = get_type_hints(cls)
+        directives = {name: _DIRECTIVES.get(hints[name], "%s") for name in cls._fields}
+        items = [item.format(key=_quote(name), directive=d) for name, d in directives.items()]
         self.template = prefix + separator.join(items) + suffix
-        self.values = attrgetter(*[name for name, _ in directives])
-        self.converted = [i for i, (_, d) in enumerate(directives) if d == "%s"]
+        self.converted = [i for i, d in enumerate(directives.values()) if d == "%s"]
 
     def __call__(self, row, convert: Callable[[object], str]) -> str:
-        values = self.values(row)
         if self.converted:
-            values = list(values)
+            row = list(row)
             for i in self.converted:
-                values[i] = convert(values[i])
-        return self.template % tuple(values)
+                row[i] = convert(row[i])
+            row = tuple(row)
+        return self.template % row
 
 
 _ROW_CLASSES = (QuestionRow, SubsetRow)
@@ -351,8 +345,7 @@ def render_json(value) -> str:
 
 
 def _render(value, newline: str, out: list[str]) -> None:
-    """Append ``value``; ``newline`` is a line break plus the current indent.
-    Floats, ints and strings in a dict are written inline with their key."""
+    """Append ``value``; ``newline`` is a line break plus the current indent."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -361,17 +354,8 @@ def _render(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, item in value.items():
-            key = _quote(str(key))
-            kind = type(item)
-            if kind is float:
-                out.append(f"{separator}{key}: {item:.4f}")
-            elif kind is int:
-                out.append(f"{separator}{key}: {item}")
-            elif kind is str:
-                out.append(f"{separator}{key}: {_quote(item)}")
-            else:
-                out.append(f"{separator}{key}: ")
-                _render(item, inner, out)
+            out.append(f"{separator}{_quote(str(key))}: ")
+            _render(item, inner, out)
             separator = "," + inner
         out.append(newline + "}")
     elif kind in _ROW_CLASSES:
@@ -460,7 +444,7 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-student reports, one line per subset row, written
     from ``SubsetRow``'s field list; the quadrant and group columns are
     filled on the questionnaire row only."""
-    header = ["student_id", *(f.name for f in fields(SubsetRow)), "quadrant"]
+    header = ["student_id", *SubsetRow._fields, "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
     write_row, cells = _CSV_ROWS[SubsetRow], _CsvCells()
     blank = "," * (1 + len(METRIC_KEYS)) + "\n"  # the quadrant and group cells
@@ -478,7 +462,7 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
 def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-question rows, written from ``QuestionRow``'s
     field list."""
-    header = ["student_id", *(f.name for f in fields(QuestionRow))]
+    header = ["student_id", *QuestionRow._fields]
     write_row, cells = _CSV_ROWS[QuestionRow], _CsvCells()
     lines = [_csv_text(header, ())]
     for report in reports:

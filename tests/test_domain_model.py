@@ -451,3 +451,11 @@ def test_session_constructor_keeps_its_checks(events, end, field):
     with pytest.raises(ValidationError) as err:
         StudentSession(student_id="s1", events=tuple(built), session_end_ms=end)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("student_id", ["", *(sid for sid, _, _ in RESERVED_IDS)])
+def test_session_constructor_rejects_an_id_the_log_cannot_carry(student_id):
+    # Such a session would render to a log that parse_event_log rejects.
+    with pytest.raises(ValidationError) as err:
+        StudentSession(student_id, (), 5)
+    assert err.value.field == "student_id"

@@ -1,7 +1,7 @@
 """Property test of the per-student report files: on generated classes
 whose subject names need quoting, students.csv and questions.csv equal
 ``csv.writer`` over the row values, and students.json equals the generic
-``render_json`` over the rows' ``vars``."""
+``render_json`` over the rows' ``_asdict``."""
 
 import csv
 import io
@@ -86,10 +86,10 @@ def test_flat_csvs_equal_csv_writer_over_the_row_values(reports):
         overall = [report.quadrant.value, *(report.group_indices[m] for m in METRIC_KEYS)]
         for row in report.subsets:
             tail = overall if row.scope == "questionnaire" else [None] * len(overall)
-            student_rows.append([report.student_id, *vars(row).values(), *tail])
+            student_rows.append([report.student_id, *row._asdict().values(), *tail])
     assert students_csv(reports) == _csv_reference(STUDENTS_HEADER, student_rows)
 
-    question_rows = [[r.student_id, *vars(q).values()] for r in reports for q in r.questions]
+    question_rows = [[r.student_id, *q._asdict().values()] for r in reports for q in r.questions]
     assert questions_csv(reports) == _csv_reference(QUESTIONS_HEADER, question_rows)
 
 
@@ -101,8 +101,8 @@ def test_students_json_equals_the_generic_render_of_the_row_dicts(reports):
             "student_id": r.student_id,
             "quadrant": r.quadrant.value,
             "group_indices": r.group_indices,
-            "questions": [dict(vars(q)) for q in r.questions],
-            "subsets": [dict(vars(s)) for s in r.subsets],
+            "questions": [dict(q._asdict()) for q in r.questions],
+            "subsets": [dict(s._asdict()) for s in r.subsets],
         }
         for r in reports
     ]

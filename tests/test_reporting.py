@@ -154,6 +154,23 @@ def test_compute_student_rows_equal_metric_definitions():
             assert row.priority == priority(ts, ws), where
 
 
+@pytest.mark.parametrize(
+    "pick, field",
+    [
+        (lambda report: report, "student_id"),
+        (lambda report: report, "group_indices"),
+        (lambda report: report.questions[0], "qcl"),
+        (lambda report: report.subsets[0], "ts"),
+    ],
+    ids=["report", "report-groups", "question-row", "subset-row"],
+)
+def test_report_rows_are_immutable(pick, field):
+    spec = _overlapping_spec()
+    target = pick(compute_student(_sessions(spec, per_profile=1)[0], spec))
+    with pytest.raises(AttributeError):
+        setattr(target, field, getattr(target, field))
+
+
 def _answers_only(session):
     events = tuple(e for e in session.events if e.kind is EventKind.ANSWER)
     return StudentSession(session.student_id, events, session.session_end_ms)
