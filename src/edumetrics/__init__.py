@@ -15,7 +15,6 @@ from .analytics import (
     GroupingScheme,
     PriorityRanking,
     QuadrantLabel,
-    Scope,
     SrtComparison,
     approval_split,
     assign_group,

@@ -40,14 +40,8 @@ class QuadrantLabel(Enum):
     Q4 = "Q4"
 
 
-class Scope(Enum):
-    STUDENT = "student"
-    CLASS = "class"
-
-
 @dataclass(frozen=True)
 class PriorityRanking:
-    scope: Scope
     element: str | int
     normalized_priority: float
     rank: int
@@ -120,14 +114,13 @@ def classify_quadrant(ad: float, qucl: float, threshold: float = 0.5) -> Quadran
 
 def rank_priorities(
     per_element_ts_ws: Mapping[str | int, Sequence[ScorePair]],
-    scope: Scope = Scope.STUDENT,
 ) -> list[PriorityRanking]:
     """Rank elements (subjects or topics) by normalized priority, descending.
 
-    Each mapping value is a sequence of (ts, ws) pairs, one per student,
-    whose priorities are averaged; at student scope it holds the one
-    student's pair. Priorities are normalized to [0, 1]; ties break on
-    ascending element id. Elements with no pairs are dropped with a
+    Each mapping value is a sequence of (ts, ws) pairs whose priorities are
+    averaged: one student's pair ranks that student's elements, one pair per
+    student ranks the class's. Priorities are normalized to [0, 1]; ties
+    break on ascending element id. Elements with no pairs are dropped with a
     warning.
     """
     scored = []
@@ -139,7 +132,7 @@ def rank_priorities(
         scored.append((element, mean_priority / 10.0))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [
-        PriorityRanking(scope=scope, element=element, normalized_priority=np, rank=rank)
+        PriorityRanking(element=element, normalized_priority=np, rank=rank)
         for rank, (element, np) in enumerate(scored, start=1)
     ]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from .analytics import build_grouping
@@ -47,14 +46,15 @@ _SRT_MODES = {
 
 def _write_text(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # A fresh name opened exclusively, as open() creates files: the umask sets the mode.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
             handle.write(data)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .domain_model import DIFFICULTY_INDICES, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec
+from .domain_model import (
+    DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
+)
 from .errors import DomainError
 from .isolated_metrics import QuestionSubset, SubsetLike, assurance_degree
 from .session_derivation import QuestionResponse
@@ -54,15 +56,15 @@ def question_comprehension_level(inp: ComprehensionInputs) -> float:
     With t the expected time, ecl/mcl as above and srt the accumulated
     response time:
 
-    * srt <= t/4: ecl / (mcl * 4), a flat factor-4 penalty for answers
-      fast enough to look like blind guesses;
-    * t/4 < srt <= t: ecl / mcl;
+    * srt <= t * FAST_FRACTION: ecl / (mcl * 4), a flat factor-4 penalty
+      for answers fast enough to look like blind guesses;
+    * t * FAST_FRACTION < srt <= t: ecl / mcl;
     * srt > t: ecl / (mcl + (srt - t)/t), shrinking with overtime.
     """
     t = inp.expected_time_s
     ecl = effective_comprehension_level(inp.qdi, inp.cdi, inp.w)
     mcl = max_comprehension_level(inp.qdi, inp.cdi)
-    if inp.srt_s <= t / 4:
+    if inp.srt_s <= t * FAST_FRACTION:
         return ecl / (mcl * 4)
     if inp.srt_s <= t:
         return ecl / mcl

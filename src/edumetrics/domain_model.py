@@ -34,6 +34,8 @@ WS_WEIGHTS = (0, 1, 2, 3, 4)
 LU_DEVIATIONS = (0, 2, 3, 4, 5)
 DIFFICULTY_INDICES = (1, 3, 5)
 CORRECT_WEIGHT = 4
+# An answer given within this fraction of the expected time counts as a blind guess.
+FAST_FRACTION = 0.25
 STANDARD_OPTION_IDS = ("a", "b", "c", "d", "e")
 
 # Deviation used when the questionnaire omits it: the order-preserving
@@ -452,9 +454,7 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     end_by_student: dict[str, tuple[int, int]] = {}
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader, None)
-        if header is None:
-            return []
+        header = next(reader)
         if tuple(header) != EVENT_CSV_HEADER:
             raise ParseError(
                 f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",

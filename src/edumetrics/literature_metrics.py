@@ -8,10 +8,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
-from .domain_model import DIFFICULTY_INDICES, LU_DEVIATIONS
+from .domain_model import DIFFICULTY_INDICES, FAST_FRACTION, LU_DEVIATIONS
 from .errors import DomainError
-
-FAST_FRACTION = 0.25
 
 
 class ResponseTimeClass(IntEnum):
@@ -59,16 +57,12 @@ def level_of_understanding(inp: LuInputs) -> float:
     return (inp.tdi * inp.cdi * inp.qdi * inp.deviation) / float(inp.response_time_class)
 
 
-def classify_response_time(
-    srt_s: float,
-    expected_time_s: float,
-    fast_fraction: float = FAST_FRACTION,
-) -> ResponseTimeClass:
-    """BLIND_GUESS when the answer took at most ``fast_fraction`` of the
+def classify_response_time(srt_s: float, expected_time_s: float) -> ResponseTimeClass:
+    """BLIND_GUESS when the answer took at most ``FAST_FRACTION`` of the
     expected time (boundary included), NORMAL otherwise."""
     if not expected_time_s > 0:
         raise DomainError("expected time must be positive")
-    if srt_s <= expected_time_s * fast_fraction:
+    if srt_s <= expected_time_s * FAST_FRACTION:
         return ResponseTimeClass.BLIND_GUESS
     return ResponseTimeClass.NORMAL
 

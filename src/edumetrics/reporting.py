@@ -4,9 +4,10 @@ plot-data tables behind them.
 Serialized output is byte-stable: dictionary key order is fixed by
 construction and every decimal is rendered with four fractional digits
 (round-half-even), so identical inputs produce identical files. The
-per-student rows (``QuestionRow``, ``SubsetRow``) are named tuples written
-from their field list: one %-template per row class for students.json and
-one for the flat CSVs, built once from ``_fields`` and the annotations.
+per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are named
+tuples written from their field list: one %-template per row class for
+students.json and one for the flat CSVs, built once from ``_fields`` and the
+annotations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 from .analytics import (
     GroupingScheme,
     QuadrantLabel,
-    Scope,
     approval_split,
     assign_group,
     classify_quadrant,
@@ -29,18 +29,27 @@ from .analytics import (
 from .composite_metrics import priority, questionnaire_comprehension_level
 from .domain_model import (
     CORRECT_WEIGHT,
+    FAST_FRACTION,
     SCOPE_QUESTIONNAIRE,
     SCOPE_SUBJECT,
     SCOPE_TOPIC,
-    WS_WEIGHTS,
     QuestionnaireSpec,
     StudentSession,
 )
-from .errors import DomainError
 from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
-METRIC_KEYS = ("ts", "ws", "ad", "qucl")
+
+class GroupIndices(NamedTuple):
+    """1-based group of each overall metric in the class grouping scheme."""
+
+    ts: int
+    ws: int
+    ad: int
+    qucl: int
+
+
+METRIC_KEYS = GroupIndices._fields
 
 
 class QuestionRow(NamedTuple):
@@ -79,7 +88,7 @@ class StudentMetricsReport(NamedTuple):
     questions: tuple[QuestionRow, ...]
     subsets: tuple[SubsetRow, ...]
     quadrant: QuadrantLabel
-    group_indices: dict[str, int] | None = None
+    group_indices: GroupIndices | None = None
 
     @property
     def overall(self) -> SubsetRow:
@@ -111,7 +120,9 @@ def compute_student(
     sums them in the subset's order, as the metric definitions do. One walk
     of the answer sequence counts every subset's transitions for disorder.
     Difficulty indices and expected times are checked once per spec, when it
-    is built; weight and time per question; ad, ts and ws per subset.
+    is built; answer weights when each ``AnswerOption`` is; ad, ts and ws per
+    subset. Times need no check: a ``StudentSession`` keeps its events in time
+    order and its end at or after the last one, so every gap is >= 0.
     """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
@@ -121,13 +132,9 @@ def compute_student(
     for question in spec.questions:
         response = responses[question.question_id]
         w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
-        if w not in WS_WEIGHTS:
-            raise DomainError(f"answer weight must be one of {WS_WEIGHTS}, got {w}")
-        if srt_s < 0:
-            raise DomainError("response time must be non-negative")
         ecl = float(question.qdi * question.cdi * w)
         mcl = float(question.qdi * question.cdi * 4)
-        if srt_s <= t / 4:
+        if srt_s <= t * FAST_FRACTION:
             level = ecl / (mcl * 4)
         elif srt_s <= t:
             level = ecl / mcl
@@ -184,10 +191,9 @@ def attach_group_indices(
 ) -> list[StudentMetricsReport]:
     """Fill each report's per-metric group index from the class scheme."""
     return [
-        report._replace(group_indices={
-            metric: assign_group(value, scheme)
-            for metric, value in zip(METRIC_KEYS, _normalized(report.overall))
-        })
+        report._replace(group_indices=GroupIndices._make(
+            assign_group(value, scheme) for value in _normalized(report.overall)
+        ))
         for report in reports
     ]
 
@@ -213,7 +219,7 @@ def _ranking_rows(
     }
     return [
         {"rank": r.rank, scope: r.element, "normalized_priority": r.normalized_priority}
-        for r in rank_priorities(pairs, Scope.CLASS)
+        for r in rank_priorities(pairs)
     ]
 
 
@@ -311,7 +317,7 @@ class _RowFormat:
         return self.template % row
 
 
-_ROW_CLASSES = (QuestionRow, SubsetRow)
+_ROW_CLASSES = (QuestionRow, SubsetRow, GroupIndices)
 _CSV_ROWS = {cls: _RowFormat(cls, "{directive}", ",") for cls in _ROW_CLASSES}
 # JSON formats by (row class, line break plus indent), built on first use.
 _JSON_ROWS: dict[tuple[type, str], _RowFormat] = {}
@@ -336,8 +342,8 @@ def _json_row(row, newline: str) -> str:
 
 def render_json(value) -> str:
     """Serialize to JSON with fixed key order and 4-digit decimals.
-    ``QuestionRow`` and ``SubsetRow`` values are written as objects of
-    their fields."""
+    ``QuestionRow``, ``SubsetRow`` and ``GroupIndices`` values are written
+    as objects of their fields."""
     out: list[str] = []
     _render(value, "\n", out)
     out.append("\n")
@@ -415,8 +421,8 @@ def groups_histogram_csv(
     """Group occupancy per metric, the data behind the grouped-bars figure."""
     rows = []
     if scheme is not None:
-        for metric in METRIC_KEYS:
-            counts = Counter(report.group_indices[metric] for report in reports)
+        for metric, column in zip(METRIC_KEYS, zip(*[r.group_indices for r in reports])):
+            counts = Counter(column)
             rows.extend([metric, group, counts[group]] for group in range(1, scheme.k + 1))
     return _csv_text(("metric", "group", "count"), rows)
 
@@ -451,7 +457,7 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     lines = [_csv_text(header, ())]
     for report in reports:
         student = cells[report.student_id] + ","
-        tail = [report.quadrant.value, *(report.group_indices[m] for m in METRIC_KEYS)]
+        tail = [report.quadrant.value, *report.group_indices]
         overall = "".join(["," + cells[v] for v in tail]) + "\n"
         for row in report.subsets:
             end = overall if row.scope == SCOPE_QUESTIONNAIRE else blank

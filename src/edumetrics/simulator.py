@@ -23,7 +23,9 @@ from enum import Enum
 from math import floor
 from typing import Sequence
 
-from .domain_model import AnswerOption, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession
+from .domain_model import (
+    FAST_FRACTION, AnswerOption, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession,
+)
 from .errors import DomainError, SimulationError
 
 MASK64 = (1 << 64) - 1
@@ -78,10 +80,10 @@ class BehaviorKind(Enum):
 # Per-question answer time as a fraction of the expected time: drawn
 # from (low, high], low excluded so the fast/slow boundary is respected.
 _TIME_FRACTIONS = {
-    BehaviorKind.ASSURED: (0.25, 1.0),
-    BehaviorKind.GUESSER: (0.0, 0.25),
-    BehaviorKind.SELF_CORRECTOR: (0.25, 1.0),
-    BehaviorKind.DISORDERED: (0.25, 1.0),
+    BehaviorKind.ASSURED: (FAST_FRACTION, 1.0),
+    BehaviorKind.GUESSER: (0.0, FAST_FRACTION),
+    BehaviorKind.SELF_CORRECTOR: (FAST_FRACTION, 1.0),
+    BehaviorKind.DISORDERED: (FAST_FRACTION, 1.0),
 }
 
 

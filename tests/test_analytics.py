@@ -8,7 +8,6 @@ from edumetrics import (
     DomainError,
     QuadrantLabel,
     QuestionSubset,
-    Scope,
     approval_split,
     assign_group,
     build_grouping,
@@ -125,7 +124,7 @@ def test_rank_priorities_student_scope():
     # Three-question topic: hits on two of three, weights 4, 2, 4.
     ts = 10 * 2 / 3
     ws = 10 * (4 + 2 + 4) / 12
-    rankings = rank_priorities({17: [(ts, ws)], 81: [(10.0, 5.0)]}, Scope.STUDENT)
+    rankings = rank_priorities({17: [(ts, ws)], 81: [(10.0, 5.0)]})
     assert rankings[0].element == 17
     assert rankings[0].normalized_priority == pytest.approx(0.278, abs=5e-3)
     assert rankings[-1].element == 81
@@ -134,14 +133,14 @@ def test_rank_priorities_student_scope():
 
 def test_rank_priorities_class_scope_averages_first():
     pairs = {"maths": [(5.0, 4.0), (2.0, 5.0)]}
-    rankings = rank_priorities(pairs, Scope.CLASS)
+    rankings = rank_priorities(pairs)
     expected = ((10 - 5) * 0.4 + (10 - 2) * 0.5) / 2 / 10
     assert rankings[0].normalized_priority == pytest.approx(expected)
 
 
 def test_rank_priorities_two_student_example():
     # Priorities 2.0 and 4.0 average to 3.0, normalizing to 0.30.
-    rankings = rank_priorities({"s": [(8.0, 10.0), (6.0, 10.0)]}, Scope.CLASS)
+    rankings = rank_priorities({"s": [(8.0, 10.0), (6.0, 10.0)]})
     assert rankings[0].normalized_priority == pytest.approx(0.30)
 
 
@@ -155,7 +154,7 @@ def test_rank_priorities_deterministic_under_permutation():
 
 def test_rank_priorities_skips_empty_elements_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
-        rankings = rank_priorities({"full": [(5.0, 5.0)], "empty": []}, Scope.CLASS)
+        rankings = rank_priorities({"full": [(5.0, 5.0)], "empty": []})
     assert [r.element for r in rankings] == ["full"]
     assert any("empty" in record.message for record in caplog.records)
 

@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -537,3 +539,34 @@ def test_compute_reads_the_spec_before_the_events(tmp_path, capsys):
         f"error: {spec_path}: ",
     )
     assert written_files(out_dir) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_the_umask_mode(tmp_path, umask):
+    spec_path = write_spec(tmp_path)
+    events, out_dir = tmp_path / "events.csv", tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        simulate = ["simulate", "--spec", str(spec_path), "--profile", "guesser"]
+        assert main([*simulate, "--count", "3", "--out", str(events)]) == 0
+        compute = ["compute", "--spec", str(spec_path), "--events", str(events)]
+        assert main([*compute, "--out", str(out_dir), "--format", "csv"]) == 0
+    finally:
+        os.umask(previous)
+    files = [events, *written_files(out_dir)]
+    assert len(files) == 1 + 7
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in files} == {
+        path.name: 0o666 & ~umask for path in files
+    }
+
+
+def test_compute_failed_write_exits_two_and_leaves_no_temp_file(tmp_path, capsys):
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, count=2)
+    out_dir = tmp_path / "out"
+    (out_dir / "students.json").mkdir(parents=True)
+    argv = ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(out_dir.rglob("*.tmp")) == []

@@ -45,11 +45,6 @@ def test_classify_response_time():
     assert classify_response_time(62.5, 250) is ResponseTimeClass.BLIND_GUESS
 
 
-def test_classify_response_time_custom_fraction():
-    assert classify_response_time(100, 200, fast_fraction=0.5) is ResponseTimeClass.BLIND_GUESS
-    assert classify_response_time(101, 200, fast_fraction=0.5) is ResponseTimeClass.NORMAL
-
-
 def test_student_learning_rate_signed_square():
     up = ScoreSeries(student_id="s", element_id="maths", scores=(5.0, 7.0))
     down = ScoreSeries(student_id="s", element_id="maths", scores=(7.0, 5.0))

@@ -7,7 +7,6 @@ from edumetrics import (
     ComprehensionInputs,
     EventKind,
     QuestionSubset,
-    Scope,
     StudentSession,
     assurance_degree,
     build_grouping,
@@ -171,6 +170,14 @@ def test_report_rows_are_immutable(pick, field):
         setattr(target, field, getattr(target, field))
 
 
+def test_group_indices_are_immutable():
+    spec = _overlapping_spec()
+    sessions = _sessions(spec, per_profile=1)
+    reports = attach_group_indices([compute_student(s, spec) for s in sessions], build_grouping(4))
+    with pytest.raises(TypeError):
+        reports[0].group_indices["ts"] = 99
+
+
 def _answers_only(session):
     events = tuple(e for e in session.events if e.kind is EventKind.ANSWER)
     return StudentSession(session.student_id, events, session.session_end_ms)
@@ -203,7 +210,7 @@ def test_class_tables_equal_library_definitions(make, views):
         }
         return [
             {"rank": r.rank, label: r.element, "normalized_priority": r.normalized_priority}
-            for r in rank_priorities(pairs, Scope.CLASS)
+            for r in rank_priorities(pairs)
         ]
 
     assert summary["subject_priorities"] == ranking(subjects, "subject")
