@@ -101,6 +101,8 @@ def classify_quadrant(ad: float, qucl: float, threshold: float = 0.5) -> Quadran
     """
     if not 0.0 <= ad <= 1.0 or not 0.0 <= qucl <= 1.0:
         raise DomainError("quadrant inputs must lie in [0, 1]")
+    if not 0.0 <= threshold <= 1.0:
+        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
     high_ad = ad >= threshold
     high_qucl = qucl >= threshold
     if high_ad and high_qucl:

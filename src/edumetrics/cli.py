@@ -96,6 +96,10 @@ def run_compute(args: argparse.Namespace) -> None:
     summary = build_class_summary(reports, spec, scheme, args.threshold, args.srt_mode)
 
     out_dir = Path(args.out)
+    if args.format != "csv":
+        # A flat CSV left by an earlier run would sit next to reports it does not match.
+        for name in ("students.csv", "questions.csv"):
+            (out_dir / name).unlink(missing_ok=True)
     _write_text(out_dir / "students.json", render_json([r.as_dict() for r in reports]))
     _write_text(out_dir / "class.json", render_json(summary))
     plotdata = out_dir / "plotdata"

@@ -28,7 +28,7 @@ class ComprehensionInputs:
             raise DomainError(f"difficulty indices must be one of {DIFFICULTY_INDICES}")
         if self.w not in WS_WEIGHTS:
             raise DomainError(f"answer weight must be one of {WS_WEIGHTS}, got {self.w}")
-        if self.srt_s < 0:
+        if not self.srt_s >= 0:
             raise DomainError("response time must be non-negative")
         if not self.expected_time_s > 0:
             raise DomainError("expected time must be positive")

@@ -12,8 +12,13 @@ Everything parsed is immutable afterwards. Invariants are enforced at
 construction time: violations raise :class:`ValidationError`,
 syntactically malformed input raises :class:`ParseError`.
 :func:`parse_event_log` is the boundary that validates event rows: it
-makes every check of :class:`AssessmentEvent` and :class:`StudentSession`,
-reporting the line, and builds both without repeating those checks.
+makes every check of :class:`AssessmentEvent` and :class:`StudentSession`
+and builds both without repeating those checks. :func:`_check_student_id`
+is the one student-id rule, for all three.
+
+The checks inside a parse loop raise without a location. Each loop adds
+it in one place, through the errors' ``locate``: the question id in
+:func:`parse_questionnaire`, the row's line in :func:`parse_event_log`.
 """
 
 from __future__ import annotations
@@ -235,9 +240,7 @@ class AssessmentEvent:
     timestamp_ms: int
 
     def __post_init__(self) -> None:
-        if not self.student_id:
-            raise ValidationError("student_id must be non-empty", field="student_id")
-        _check_reserved_chars(self.student_id)
+        _check_student_id(self.student_id)
         if not isinstance(self.question_id, int) or self.question_id < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
         if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
@@ -254,12 +257,14 @@ class AssessmentEvent:
             raise ValidationError("view events must not carry an option_id", field="option_id")
 
 
-def _check_reserved_chars(student_id: str, line: int | None = None) -> None:
+def _check_student_id(student_id: str) -> None:
+    """A student id is non-empty and holds none of the characters the log reserves."""
+    if not student_id:
+        raise ValidationError("student_id must be non-empty", field="student_id")
     if not _RESERVED_ID_CHARS.isdisjoint(student_id):
         raise ValidationError(
             f"student_id {student_id!r} contains characters the log format reserves",
             field="student_id",
-            line=line,
         )
 
 
@@ -272,9 +277,7 @@ class StudentSession:
     session_end_ms: int
 
     def __post_init__(self) -> None:
-        if not self.student_id:
-            raise ValidationError("student_id must be non-empty", field="student_id")
-        _check_reserved_chars(self.student_id)
+        _check_student_id(self.student_id)
         object.__setattr__(self, "events", tuple(self.events))
         stamps = [e.timestamp_ms for e in self.events]
         if any(a > b for a, b in zip(stamps, stamps[1:])):
@@ -290,25 +293,55 @@ class StudentSession:
             )
 
 
-def _get(mapping: dict, key: str, kinds, *, question_id: int | None = None):
+def _get(mapping: dict, key: str, kinds):
     if key not in mapping:
-        raise ValidationError(f"missing field {key!r}", field=key, question_id=question_id)
+        raise ValidationError(f"missing field {key!r}", field=key)
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValidationError(
-            f"field {key!r} has the wrong type", field=key, question_id=question_id
-        )
+        raise ValidationError(f"field {key!r} has the wrong type", field=key)
     return value
 
 
-def _get_float(mapping: dict, key: str, *, question_id: int | None = None) -> float:
-    value = _get(mapping, key, (int, float), question_id=question_id)
+def _get_float(mapping: dict, key: str) -> float:
+    value = _get(mapping, key, (int, float))
     try:
         return float(value)
     except OverflowError:
-        raise ValidationError(
-            f"field {key!r} must be a finite number", field=key, question_id=question_id
-        ) from None
+        raise ValidationError(f"field {key!r} must be a finite number", field=key) from None
+
+
+def _parse_question(raw: dict, allow_any_option_count: bool) -> dict:
+    """The :class:`QuestionSpec` fields of one question other than its id."""
+    options = []
+    for raw_opt in _get(raw, "options", list):
+        if not isinstance(raw_opt, dict):
+            raise ValidationError("each option must be a JSON object", field="options")
+        weight = _get(raw_opt, "ws_weight", int)
+        if "lu_deviation" in raw_opt:
+            deviation = _get(raw_opt, "lu_deviation", int)
+        else:
+            deviation = DEFAULT_LU_DEVIATION.get(weight, 0)
+        options.append(AnswerOption(_get(raw_opt, "option_id", str), weight, deviation))
+    if not allow_any_option_count:
+        if tuple(o.option_id for o in options) != STANDARD_OPTION_IDS:
+            raise ValidationError(
+                f"questions must offer exactly the options {'/'.join(STANDARD_OPTION_IDS)}",
+                field="options",
+            )
+    topic_ids = _get(raw, "topic_ids", list)
+    if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
+        raise ValidationError("topic_ids must be integers", field="topic_ids")
+    if len(set(topic_ids)) != len(topic_ids):
+        raise ValidationError("duplicate topic_id", field="topic_ids")
+    return dict(
+        subject=_get(raw, "subject", str),
+        topic_ids=frozenset(topic_ids),
+        qdi=_get(raw, "qdi", int),
+        cdi=_get(raw, "cdi", int),
+        tdi=_get(raw, "tdi", int),
+        expected_time_s=_get_float(raw, "expected_time_s"),
+        options=tuple(options),
+    )
 
 
 def parse_questionnaire(text: str, *, allow_any_option_count: bool = False) -> QuestionnaireSpec:
@@ -338,52 +371,13 @@ def parse_questionnaire(text: str, *, allow_any_option_count: bool = False) -> Q
         if not isinstance(raw, dict):
             raise ValidationError("each question must be a JSON object", field="questions")
         qid = _get(raw, "question_id", int)
-        raw_options = _get(raw, "options", list, question_id=qid)
-        options = []
-        for raw_opt in raw_options:
-            if not isinstance(raw_opt, dict):
-                raise ValidationError(
-                    "each option must be a JSON object", field="options", question_id=qid
-                )
-            weight = _get(raw_opt, "ws_weight", int, question_id=qid)
-            if "lu_deviation" in raw_opt:
-                deviation = _get(raw_opt, "lu_deviation", int, question_id=qid)
-            else:
-                deviation = DEFAULT_LU_DEVIATION.get(weight, 0)
-            try:
-                options.append(
-                    AnswerOption(
-                        option_id=_get(raw_opt, "option_id", str, question_id=qid),
-                        ws_weight=weight,
-                        lu_deviation=deviation,
-                    )
-                )
-            except ValidationError as exc:
-                raise exc.locate(question_id=qid) from None
-        if not allow_any_option_count:
-            if tuple(o.option_id for o in options) != STANDARD_OPTION_IDS:
-                raise ValidationError(
-                    f"questions must offer exactly the options {'/'.join(STANDARD_OPTION_IDS)}",
-                    field="options",
-                    question_id=qid,
-                )
-        topic_ids = _get(raw, "topic_ids", list, question_id=qid)
-        if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
-            raise ValidationError("topic_ids must be integers", field="topic_ids", question_id=qid)
-        if len(set(topic_ids)) != len(topic_ids):
-            raise ValidationError("duplicate topic_id", field="topic_ids", question_id=qid)
-        questions.append(
-            QuestionSpec(
-                question_id=qid,
-                subject=_get(raw, "subject", str, question_id=qid),
-                topic_ids=frozenset(topic_ids),
-                qdi=_get(raw, "qdi", int, question_id=qid),
-                cdi=_get(raw, "cdi", int, question_id=qid),
-                tdi=_get(raw, "tdi", int, question_id=qid),
-                expected_time_s=_get_float(raw, "expected_time_s", question_id=qid),
-                options=tuple(options),
-            )
-        )
+        try:
+            fields = _parse_question(raw, allow_any_option_count)
+        except ValidationError as exc:
+            raise exc.locate(question_id=qid) from None
+        # Built outside the try: QuestionSpec locates its own errors, except
+        # the one that rejects an id below 1, which names no question.
+        questions.append(QuestionSpec(question_id=qid, **fields))
     return QuestionnaireSpec(
         questionnaire_id=questionnaire_id,
         questions=tuple(questions),
@@ -420,11 +414,11 @@ def serialize_questionnaire(spec: QuestionnaireSpec) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_int(raw: str, field: str, line: int) -> int:
+def _parse_int(raw: str, field: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"{field} must be an integer, got {raw!r}", line=line) from None
+        raise ParseError(f"{field} must be an integer, got {raw!r}") from None
 
 
 def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
@@ -439,8 +433,8 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     if not text.strip():
         return []
     # Every check of AssessmentEvent.__post_init__ is made below, once per
-    # row (the reserved characters once per student), and every check of
-    # StudentSession.__post_init__ once per student (the same id checks, events
+    # row (the id rule once per student), and every check of
+    # StudentSession.__post_init__ once per student (the same id rule, events
     # sorted and grouped by student id, the end against the last event), so
     # both are built with object.__new__ and skip them.
     question_by_raw_id = {
@@ -461,69 +455,55 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
                 line=1,
             )
         for row in reader:
-            line = reader.line_num
             if not row:
                 continue
             if len(row) != len(EVENT_CSV_HEADER):
-                raise ParseError(
-                    f"expected {len(EVENT_CSV_HEADER)} fields, got {len(row)}", line=line
-                )
+                raise ParseError(f"expected {len(EVENT_CSV_HEADER)} fields, got {len(row)}")
             student_id, raw_qid, raw_event, raw_option, raw_ts = row
-            if not student_id:
-                raise ValidationError("student_id must be non-empty", field="student_id", line=line)
-            timestamp_ms = _parse_int(raw_ts, "timestamp_ms", line)
+            if not student_id:  # on every row, before the row's other faults
+                raise ValidationError("student_id must be non-empty", field="student_id")
+            timestamp_ms = _parse_int(raw_ts, "timestamp_ms")
             if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
                 reason = "be non-negative" if timestamp_ms < 0 else f"not exceed {MAX_TIMESTAMP_MS}"
-                raise ValidationError(f"timestamp_ms must {reason}", field="timestamp_ms", line=line)
-            if raw_event == "end":
-                if raw_qid or raw_option:
-                    raise ValidationError(
-                        "end rows must leave question_id and option_id empty",
-                        field="event",
-                        line=line,
-                    )
-                if student_id in end_by_student:
-                    raise ValidationError(
-                        f"duplicate end row for student {student_id!r}", field="event", line=line
-                    )
-                if student_id not in events_by_student:
-                    _check_reserved_chars(student_id, line)
-                    events_by_student[student_id] = []
-                end_by_student[student_id] = (timestamp_ms, line)
-                continue
+                raise ValidationError(f"timestamp_ms must {reason}", field="timestamp_ms")
             kind = kind_by_raw.get(raw_event)
-            if kind is None:
-                raise ValidationError(
-                    f"unknown event kind {raw_event!r}", field="event", line=line
-                )
-            question = question_by_raw_id.get(raw_qid)
-            if question is None:
-                # Spellings such as " 3", "03" or "+3" still name question 3.
-                question_id = _parse_int(raw_qid, "question_id", line)
-                try:
+            if kind is not None:
+                question = question_by_raw_id.get(raw_qid)
+                if question is None:
+                    # Spellings such as " 3", "03" or "+3" still name question 3.
+                    question_id = _parse_int(raw_qid, "question_id")
                     spec.question(question_id)
-                except ValidationError as exc:
-                    raise exc.locate(line=line) from None
-                question = question_by_raw_id[str(question_id)]
-            question_id, option_ids = question
-            option_id = None
-            if kind is EventKind.ANSWER:
-                if raw_option not in option_ids:
-                    raise ValidationError(
-                        f"unknown option_id {raw_option!r}",
-                        field="option_id",
-                        question_id=question_id,
-                        line=line,
-                    )
-                option_id = raw_option
-            elif raw_option:
+                    question = question_by_raw_id[str(question_id)]
+                question_id, option_ids = question
+                option_id = None
+                if kind is EventKind.ANSWER:
+                    if raw_option not in option_ids:
+                        raise ValidationError(
+                            f"unknown option_id {raw_option!r}",
+                            field="option_id",
+                            question_id=question_id,
+                        )
+                    option_id = raw_option
+                elif raw_option:
+                    raise ValidationError("view rows must leave option_id empty", field="option_id")
+            elif raw_event != "end":
+                raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
+            elif raw_qid or raw_option:
                 raise ValidationError(
-                    "view rows must leave option_id empty", field="option_id", line=line
+                    "end rows must leave question_id and option_id empty", field="event"
                 )
+            elif student_id in end_by_student:
+                raise ValidationError(
+                    f"duplicate end row for student {student_id!r}", field="event"
+                )
+            # A student's first row of any kind registers them, once it passed its own checks.
             events = events_by_student.get(student_id)
             if events is None:
-                _check_reserved_chars(student_id, line)
+                _check_student_id(student_id)
                 events = events_by_student[student_id] = []
+            if kind is None:
+                end_by_student[student_id] = (timestamp_ms, reader.line_num)
+                continue
             event = new_object(AssessmentEvent)
             set_field(event, "student_id", student_id)
             set_field(event, "question_id", question_id)
@@ -533,6 +513,8 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
             events.append(event)
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
+    except (ParseError, ValidationError) as exc:
+        raise exc.locate(line=reader.line_num) from None
 
     sessions = []
     for student_id, events in events_by_student.items():

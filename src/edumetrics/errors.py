@@ -23,6 +23,11 @@ class ParseError(EduMetricsError):
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + where)
 
+    def locate(self, *, line: int | None = None) -> "ParseError":
+        """Return a copy with the line filled in where missing."""
+        line = self.line if self.line is not None else line
+        return ParseError(self.reason, line=line, column=self.column)
+
 
 class ValidationError(EduMetricsError):
     """Well-formed input violates an invariant of the data model.
@@ -54,7 +59,7 @@ class ValidationError(EduMetricsError):
         super().__init__(message + suffix)
 
     def locate(self, *, question_id: int | None = None, line: int | None = None) -> "ValidationError":
-        """Return a copy with location context filled in where missing."""
+        """Return a copy with the question id and line filled in where missing."""
         return ValidationError(
             self.reason,
             field=self.field,

@@ -60,6 +60,8 @@ def level_of_understanding(inp: LuInputs) -> float:
 def classify_response_time(srt_s: float, expected_time_s: float) -> ResponseTimeClass:
     """BLIND_GUESS when the answer took at most ``FAST_FRACTION`` of the
     expected time (boundary included), NORMAL otherwise."""
+    if not srt_s >= 0:
+        raise DomainError("response time must be non-negative")
     if not expected_time_s > 0:
         raise DomainError("expected time must be positive")
     if srt_s <= expected_time_s * FAST_FRACTION:

@@ -570,3 +570,30 @@ def test_compute_failed_write_exits_two_and_leaves_no_temp_file(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert list(out_dir.rglob("*.tmp")) == []
+
+
+def test_json_rerun_deletes_the_flat_csvs_of_an_earlier_csv_run(tmp_path):
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, count=3)
+    one_student = tmp_path / "one.csv"
+    one_student.write_text(f"{EVENT_HEADER}\ns1,1,answer,a,0\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    compute = ["compute", "--spec", str(spec_path), "--out", str(out_dir)]
+    assert main([*compute, "--events", str(events), "--format", "csv"]) == 0
+    assert main([*compute, "--events", str(one_student), "--format", "json"]) == 0
+    assert not (out_dir / "students.csv").exists()
+    assert not (out_dir / "questions.csv").exists()
+    assert json.loads((out_dir / "class.json").read_text(encoding="utf-8"))["student_count"] == 1
+
+
+def test_failed_json_rerun_keeps_the_flat_csvs(tmp_path, capsys):
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, count=3)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{EVENT_HEADER}\ns1,1,answer,z,0\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    compute = ["compute", "--spec", str(spec_path), "--out", str(out_dir)]
+    assert main([*compute, "--events", str(events), "--format", "csv"]) == 0
+    before = {path: path.read_bytes() for path in written_files(out_dir)}
+    assert_one_error_line(capsys, [*compute, "--events", str(bad)], "unknown option_id", "line=2")
+    assert {path: path.read_bytes() for path in written_files(out_dir)} == before

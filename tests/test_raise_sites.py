@@ -38,6 +38,7 @@ from helpers import make_option, make_question, make_spec
 QUESTION = make_question(1, subject="Maths", topics=(1,))
 SPEC = make_spec([QUESTION])
 PROFILE = BehaviorProfile(kind=BehaviorKind.ASSURED, seed=1)
+NAN = float("nan")
 
 
 def event(**over):
@@ -107,11 +108,17 @@ CASES = [
     pytest.param(lambda: approval_split([0.5], 1.5), DomainError, None, None, id="approval-threshold"),
     pytest.param(lambda: classify_quadrant(1.5, 0.5), DomainError, None, None, id="quadrant-ad"),
     pytest.param(lambda: classify_quadrant(0.5, -0.1), DomainError, None, None, id="quadrant-qucl"),
+    pytest.param(lambda: classify_quadrant(0.9, 0.9, NAN), DomainError, None, None,
+                 id="quadrant-threshold-nan"),
+    pytest.param(lambda: classify_quadrant(0.9, 0.9, -1.0), DomainError, None, None,
+                 id="quadrant-threshold-negative"),
     # composite_metrics
     pytest.param(lambda: comprehension(qdi=2), DomainError, None, None, id="comprehension-qdi"),
     pytest.param(lambda: comprehension(cdi=2), DomainError, None, None, id="comprehension-cdi"),
     pytest.param(lambda: comprehension(w=5), DomainError, None, None, id="comprehension-weight"),
     pytest.param(lambda: comprehension(srt_s=-1.0), DomainError, None, None, id="comprehension-srt"),
+    pytest.param(lambda: comprehension(srt_s=NAN), DomainError, None, None,
+                 id="comprehension-srt-nan"),
     pytest.param(lambda: comprehension(expected_time_s=0.0), DomainError, None, None,
                  id="comprehension-expected-time"),
     pytest.param(lambda: max_comprehension_level(2, 3), DomainError, None, None, id="mcl-indices"),
@@ -132,6 +139,10 @@ CASES = [
     # literature_metrics
     pytest.param(lambda: classify_response_time(1.0, 0.0), DomainError, None, None,
                  id="response-time-expected"),
+    pytest.param(lambda: classify_response_time(NAN, 60.0), DomainError, None, None,
+                 id="response-time-nan"),
+    pytest.param(lambda: classify_response_time(-5.0, 60.0), DomainError, None, None,
+                 id="response-time-negative"),
     # simulator
     pytest.param(lambda: SplitMix64(1).below(0), DomainError, None, None, id="rng-below-zero"),
     pytest.param(lambda: SplitMix64(1).randint(3, 2), DomainError, None, None, id="rng-empty-range"),
