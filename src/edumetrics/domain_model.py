@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -390,26 +390,7 @@ def serialize_questionnaire(spec: QuestionnaireSpec) -> str:
     doc = {
         "questionnaire_id": spec.questionnaire_id,
         "max_total_time_s": spec.max_total_time_s,
-        "questions": [
-            {
-                "question_id": q.question_id,
-                "subject": q.subject,
-                "topic_ids": sorted(q.topic_ids),
-                "qdi": q.qdi,
-                "cdi": q.cdi,
-                "tdi": q.tdi,
-                "expected_time_s": q.expected_time_s,
-                "options": [
-                    {
-                        "option_id": o.option_id,
-                        "ws_weight": o.ws_weight,
-                        "lu_deviation": o.lu_deviation,
-                    }
-                    for o in q.options
-                ],
-            }
-            for q in spec.questions
-        ],
+        "questions": [{**asdict(q), "topic_ids": sorted(q.topic_ids)} for q in spec.questions],
     }
     return json.dumps(doc, indent=2) + "\n"
 

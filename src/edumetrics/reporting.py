@@ -289,14 +289,14 @@ def build_class_summary(
 # The C function behind json.dumps(str): the same bytes without its overhead.
 _quote = json.encoder.encode_basestring_ascii
 
+_DECIMAL = "%.4f"  # every reported float: four fractional digits, as format() gives
 # %-directives by field type, as typing.get_type_hints resolves it.
-# '%.4f' % x is format(x, ".4f").
-_DIRECTIVES = {int: "%d", float: "%.4f"}
+_DIRECTIVES = {int: "%d", float: _DECIMAL}
 
 
 class _RowFormat:
     """One %-template for a named-tuple row class, from its field list:
-    ``int`` fields use ``%d``, ``float`` fields ``%.4f`` and the rest ``%s``,
+    ``int`` fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``,
     with each of their values passed through ``convert``. The row is the
     template's argument tuple, in field order. Each field's part is ``item``
     formatted with its JSON-quoted name as ``key`` and its ``directive``."""
@@ -323,11 +323,21 @@ _CSV_ROWS = {cls: _RowFormat(cls, "{directive}", ",") for cls in _ROW_CLASSES}
 _JSON_ROWS: dict[tuple[type, str], _RowFormat] = {}
 
 
-def _json_field(value: str | int | None) -> str:
-    """JSON text of a row's str, int or None field."""
+def _json_scalar(value) -> str:
+    """JSON text of None, a bool, a float, an int or a str."""
     if value is None:
         return "null"
-    return _quote(value) if type(value) is str else str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return _DECIMAL % value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _json_row(row, newline: str) -> str:
@@ -337,7 +347,7 @@ def _json_row(row, newline: str) -> str:
         _JSON_ROWS[key] = _RowFormat(
             type(row), "{key}: {directive}", "," + inner, "{" + inner, newline + "}"
         )
-    return _JSON_ROWS[key](row, _json_field)
+    return _JSON_ROWS[key](row, _json_scalar)
 
 
 def render_json(value) -> str:
@@ -377,31 +387,8 @@ def _render(value, newline: str, out: list[str]) -> None:
             _render(item, inner, out)
             separator = "," + inner
         out.append(newline + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, float):
-        out.append(format(value, ".4f"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(_quote(value))
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [format(v, ".4f") if isinstance(v, float) else v for v in row]
-        )
-    return buffer.getvalue()
+        out.append(_json_scalar(value))
 
 
 class _CsvCells(dict):
@@ -413,6 +400,15 @@ class _CsvCells(dict):
         csv.writer(buffer, lineterminator="\n").writerow((value, None))
         text = self[value] = buffer.getvalue()[:-2]  # without the ",\n" of None
         return text
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """CSV of the header and rows; each has 2+ cells (a lone empty one is quoted)."""
+    cells = _CsvCells()
+    return "".join([
+        ",".join([cells[_DECIMAL % v if isinstance(v, float) else v] for v in row]) + "\n"
+        for row in (header, *rows)
+    ])
 
 
 def groups_histogram_csv(
