@@ -130,7 +130,7 @@ def rank_priorities(
         if not pairs:
             logger.warning("element %r has no scores and was excluded from the ranking", element)
             continue
-        mean_priority = sum(priority(ts, ws) for ts, ws in pairs) / len(pairs)
+        mean_priority = math.fsum(priority(ts, ws) for ts, ws in pairs) / len(pairs)
         scored.append((element, mean_priority / 10.0))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [
@@ -155,7 +155,7 @@ def srt_vs_expected(
     rows = []
     for qid in QuestionSubset.of(subset):
         expected = spec.question(qid).expected_time_s
-        mean = sum(r[qid].srt_s for r in responses_per_student) / len(responses_per_student)
+        mean = math.fsum(r[qid].srt_s for r in responses_per_student) / len(responses_per_student)
         rows.append(
             SrtComparison(
                 question_id=qid,
@@ -183,6 +183,6 @@ def disorder_summary(
         keep = tuple(question_ids)
         sequences = [s.restricted_to(keep) for s in sequences]
     disorders = [level_of_disorder(s) for s in sequences]
-    average = sum(disorders) / len(disorders)
+    average = math.fsum(disorders) / len(disorders)
     positive = sum(1 for d in disorders if d > 0) / len(disorders)
     return average, positive

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -85,7 +86,7 @@ def questionnaire_comprehension_level(qcls: Sequence[float], ad: float, q_count:
         raise DomainError(f"need one comprehension level per question, got {len(qcls)} for {q_count}")
     if not 0.0 <= ad <= 1.0:
         raise DomainError(f"assurance degree must lie in [0, 1], got {ad}")
-    return sum(qcls) / (q_count + (1.0 - ad))
+    return math.fsum(qcls) / (q_count + (1.0 - ad))
 
 
 def priority(ts: float, ws: float) -> float:

@@ -150,7 +150,7 @@ def student_response_time(
 ) -> float:
     """Accumulated seconds attributed to the subset's questions."""
     picked = _gather(responses, None, subset)
-    return sum(r.srt_s for r in picked)
+    return math.fsum(r.srt_s for r in picked)
 
 
 def level_of_disorder(sequence: AnswerSequence) -> float:

@@ -78,7 +78,7 @@ def student_learning_rate(series: ScoreSeries) -> float:
     """
     if len(series.scores) < 2:
         raise DomainError("learning rate needs at least two scores")
-    steps = sum(
+    steps = math.fsum(
         (b - a) * abs(b - a) for a, b in zip(series.scores, series.scores[1:])
     )
     return steps / (len(series.scores) - 1)

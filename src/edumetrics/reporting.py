@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
@@ -166,7 +167,7 @@ def compute_student(
         ad = hits / total_markings if total_markings else 0.0
         subset_rows.append(SubsetRow(
             scope, element, ts, ws, ad,
-            sum(srts),  # srt_s
+            math.fsum(srts),  # srt_s
             transition_entropy(ordered, total_steps - ordered),  # disorder
             questionnaire_comprehension_level(qcls, ad, count),  # qucl
             priority(ts, ws),
@@ -267,7 +268,7 @@ def build_class_summary(
         "srt_vs_expected": [
             {
                 "question_id": question.question_id,
-                "mean_srt_s": (mean := sum(row.srt_s for row in rows) / len(rows)),
+                "mean_srt_s": (mean := math.fsum(row.srt_s for row in rows) / len(rows)),
                 "expected_time_s": question.expected_time_s,
                 "within_expected": mean <= question.expected_time_s,
             }
@@ -278,7 +279,7 @@ def build_class_summary(
         "disorder": [
             {
                 "subject": subject,
-                "average": sum(row.disorder for row in rows) / len(rows),
+                "average": math.fsum(row.disorder for row in rows) / len(rows),
                 "percent_positive": sum(row.disorder > 0 for row in rows) / len(rows),
             }
             for subject, _, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE)
@@ -436,7 +437,7 @@ def subject_srt_csv(
 ) -> str:
     """Class mean per-question time per subject, plus a General row."""
     rows = [
-        [subject, sum(row.srt_s / count for row in rows) / len(rows)]
+        [subject, math.fsum(row.srt_s / count for row in rows) / len(rows)]
         for subject, count, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE)
     ]
     return _csv_text(("subject", "mean_srt_s"), rows)
