@@ -61,13 +61,14 @@ def _write_text(path: Path, data: str) -> None:
 
 
 def _load(path: str, parse, *args, **kwargs):
-    """``parse(text, *args, **kwargs)`` on the UTF-8 text of ``path``.
+    """``parse(text, *args, **kwargs)`` on the UTF-8 text of ``path``, read
+    past a leading byte-order mark if there is one.
 
     A decode or parse failure is raised as an error whose message starts
     with the path; the text is dropped when the parse returns.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         # Count line breaks as read_text translates them: \n, \r\n and lone \r.
         head = exc.object[: exc.start]

@@ -1,13 +1,17 @@
 """Report assembly: per-student metric vectors, the class summary and the
 plot-data tables behind them.
 
-Serialized output is byte-stable: dictionary key order is fixed by
-construction and every decimal is rendered with four fractional digits
-(round-half-even), so identical inputs produce identical files. The
-per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are named
-tuples written from their field list: one %-template per row class for
-students.json and one for the flat CSVs, built once from ``_fields`` and the
-annotations.
+Serialized output is byte-stable: identical inputs produce identical files.
+Each rule behind the bytes is stated once:
+
+* sums of floats are ``math.fsum``, correctly rounded on every Python;
+* decimals are ``_DECIMAL``, four fractional digits (round-half-even);
+* JSON scalars are written by ``_json_scalar``, JSON key order is fixed by
+  construction;
+* CSV cells are written by ``_CsvCells``, the only user of ``csv.writer``;
+* the per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are
+  named tuples written from their field list by ``_RowFormat``: one
+  %-template per row class for students.json and one for the flat CSVs.
 """
 
 from __future__ import annotations

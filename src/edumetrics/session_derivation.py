@@ -7,6 +7,7 @@ returned values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -42,8 +43,12 @@ class QuestionResponse:
     srt_s: float
 
     def __post_init__(self) -> None:
+        if self.markings < 0:
+            raise DomainError(f"markings must be non-negative, got {self.markings}")
         if (self.final_option is not None) != (self.markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
+        if not 0.0 <= self.srt_s < math.inf:
+            raise DomainError(f"srt_s must be finite and non-negative, got {self.srt_s}")
 
     @property
     def is_correct(self) -> bool:

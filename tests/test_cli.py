@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import json
 import os
 import re
@@ -487,6 +488,37 @@ def test_compute_events_not_utf8_counts_crlf_lines(tmp_path, capsys):
         f"error: {events}: ", "UTF-8", "(line 3)",
     )
     assert written_files(out_dir) == []
+
+
+def test_compute_reads_past_a_utf8_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" export starts the file with a BOM: the reports
+    equal those of the same files without it."""
+    spec_path = write_spec(tmp_path, subjects=("Zoë", "Maths"))
+    events = simulate_events(tmp_path, spec_path, profile="self-corrector", count=3)
+    spec_bom, events_bom = tmp_path / "bom-spec.json", tmp_path / "bom-events.csv"
+    spec_bom.write_bytes(codecs.BOM_UTF8 + spec_path.read_bytes())
+    events_bom.write_bytes(codecs.BOM_UTF8 + events.read_bytes())
+    reports = []
+    for spec, log, out_dir in ((spec_path, events, tmp_path / "plain"),
+                               (spec_bom, events_bom, tmp_path / "bom")):
+        argv = ["compute", "--spec", str(spec), "--events", str(log), "--out", str(out_dir)]
+        assert main([*argv, "--format", "csv"]) == 0
+        reports.append({p.relative_to(out_dir): p.read_bytes() for p in written_files(out_dir)})
+    assert len(reports[0]) == 7 and reports[0] == reports[1]
+
+
+def test_compute_events_with_bom_not_utf8_names_the_line(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, n=2)
+    events = tmp_path / "events.csv"
+    events.write_bytes(
+        codecs.BOM_UTF8 + EVENT_HEADER.encode() + b"\ns1,1,view,,0\ns1,1,answer,\xff,1000\n"
+    )
+    out_dir = tmp_path / "out"
+    assert_one_error_line(
+        capsys,
+        ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir)],
+        f"error: {events}: ", "UTF-8", "(line 3)",
+    )
 
 
 @pytest.mark.parametrize(

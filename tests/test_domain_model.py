@@ -102,6 +102,47 @@ def test_round_trip_is_identity():
     assert parse_questionnaire(serialize_questionnaire(spec)) == spec
 
 
+def test_serialized_spec_bytes():
+    """Topic ids sorted, omitted deviations filled in from the weight, times
+    as floats, non-ASCII escaped, keys in field order."""
+    question = question_doc(
+        1, weights=(0, 4), subject="Zoë", topics=[7, -2, 3], qdi=1, tdi=5, expected_time_s=42.5
+    )
+    spec = parse_questionnaire(spec_text([question], 900), allow_any_option_count=True)
+    assert serialize_questionnaire(spec) == """{
+  "questionnaire_id": "demo",
+  "max_total_time_s": 900.0,
+  "questions": [
+    {
+      "question_id": 1,
+      "subject": "Zo\\u00eb",
+      "topic_ids": [
+        -2,
+        3,
+        7
+      ],
+      "qdi": 1,
+      "cdi": 3,
+      "tdi": 5,
+      "expected_time_s": 42.5,
+      "options": [
+        {
+          "option_id": "a",
+          "ws_weight": 0,
+          "lu_deviation": 0
+        },
+        {
+          "option_id": "b",
+          "ws_weight": 4,
+          "lu_deviation": 5
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
 def test_two_correct_options_rejected():
     with pytest.raises(ValidationError) as err:
         parse_questionnaire(spec_text([question_doc(1, weights=(4, 4, 2, 1, 0))]))

@@ -15,6 +15,7 @@ from edumetrics import (
     ComprehensionInputs,
     DomainError,
     EventKind,
+    QuestionResponse,
     QuestionSubset,
     QuestionnaireSpec,
     SimulationError,
@@ -161,6 +162,15 @@ CASES = [
     ),
     pytest.param(lambda: simulate_class(PROFILE, SPEC, -1), DomainError, None, None,
                  id="simulate-negative-count"),
+    # session_derivation
+    pytest.param(lambda: QuestionResponse(1, -2, None, 0.0), DomainError, None, None,
+                 id="response-markings-negative"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, NAN), DomainError, None, None,
+                 id="response-srt-nan"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, -5.0), DomainError, None, None,
+                 id="response-srt-negative"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, float("inf")), DomainError, None, None,
+                 id="response-srt-infinite"),
 ]
 
 

@@ -1,10 +1,11 @@
-"""Property test of the per-student report files: on generated classes
-whose subject names need quoting, students.csv and questions.csv equal
+"""Property test of the report files: on generated classes whose subject
+names need quoting, students.csv, questions.csv and the plot-data CSVs equal
 ``csv.writer`` over the row values, and students.json equals the generic
 ``render_json`` over the rows' ``_asdict``."""
 
 import csv
 import io
+from statistics import fmean
 
 import pytest
 
@@ -14,11 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from edumetrics import AssessmentEvent, EventKind, SrtMode, StudentSession, build_grouping
 from edumetrics.reporting import (
+    METRIC_KEYS,
+    ad_vs_qucl_csv,
     attach_group_indices,
     compute_student,
+    groups_histogram_csv,
     questions_csv,
     render_json,
     students_csv,
+    subject_srt_csv,
 )
 from helpers import make_question, make_spec
 
@@ -37,8 +42,9 @@ QUESTIONS_HEADER = ["student_id", "question_id", "markings", "doubt", "weight", 
 
 @st.composite
 def classes(draw):
-    """A spec with 1 to 6 questions, with or without topics, and 0 to 4
-    students with a few views and answers each."""
+    """(spec, grouping scheme or None, reports): a spec with 1 to 6
+    questions, with or without topics, and 0 to 4 students with a few views
+    and answers each."""
     with_topics = draw(st.booleans())
     spec = make_spec([
         make_question(
@@ -63,9 +69,10 @@ def classes(draw):
         sessions.append(StudentSession(student, tuple(events), stamp + draw(st.integers(0, 9999))))
     mode = draw(st.sampled_from(SrtMode))
     reports = [compute_student(session, spec, mode) for session in sessions]
+    scheme = build_grouping(len(reports)) if reports else None
     if reports:
-        reports = attach_group_indices(reports, build_grouping(len(reports)))
-    return reports
+        reports = attach_group_indices(reports, scheme)
+    return spec, scheme, reports
 
 
 def _csv_reference(header, rows):
@@ -79,7 +86,8 @@ def _csv_reference(header, rows):
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(classes())
-def test_flat_csvs_equal_csv_writer_over_the_row_values(reports):
+def test_flat_csvs_equal_csv_writer_over_the_row_values(case):
+    _, _, reports = case
     student_rows = []
     for report in reports:
         overall = [report.quadrant.value, *report.group_indices]
@@ -94,7 +102,35 @@ def test_flat_csvs_equal_csv_writer_over_the_row_values(reports):
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(classes())
-def test_students_json_equals_the_generic_render_of_the_row_dicts(reports):
+def test_plot_data_csvs_equal_csv_writer_over_the_row_values(case):
+    spec, scheme, reports = case
+    histogram_rows = [
+        [metric, group, sum(getattr(r.group_indices, metric) == group for r in reports)]
+        for metric in (METRIC_KEYS if scheme else ()) for group in range(1, scheme.k + 1)
+    ]
+    assert groups_histogram_csv(reports, scheme) == _csv_reference(
+        ("metric", "group", "count"), histogram_rows
+    )
+
+    scatter_rows = [[r.student_id, r.overall.ad, r.overall.qucl, r.quadrant.value] for r in reports]
+    assert ad_vs_qucl_csv(reports) == _csv_reference(("student_id", "ad", "qucl", "quadrant"),
+                                                     scatter_rows)
+
+    # Subjects in layout order, then the whole questionnaire as "General".
+    columns = list(zip(*[r.subsets for r in reports]))
+    columns = [c for c in columns if c[0].scope == "subject"] + [columns[0]] if columns else []
+    srt_rows = []
+    for column in columns:
+        general, subject = column[0].scope == "questionnaire", column[0].element
+        count = sum(general or q.subject == subject for q in spec.questions)
+        srt_rows.append(["General" if general else subject, fmean([r.srt_s / count for r in column])])
+    assert subject_srt_csv(reports, spec) == _csv_reference(("subject", "mean_srt_s"), srt_rows)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(classes())
+def test_students_json_equals_the_generic_render_of_the_row_dicts(case):
+    _, _, reports = case
     generic = [
         {
             "student_id": r.student_id,
