@@ -12,6 +12,7 @@ written atomically (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -81,6 +82,18 @@ def _load(path: str, parse, *args, **kwargs):
 
 
 def run_compute(args: argparse.Namespace) -> None:
+    # Every object the run builds is acyclic, so the cyclic collector would
+    # only rescan the growing heap. It is turned back on if it was on.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _compute(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _compute(args: argparse.Namespace) -> None:
     if not 0.0 <= args.threshold <= 1.0:
         raise DomainError(f"--threshold must lie in [0, 1], got {args.threshold}")
 

@@ -30,8 +30,8 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -48,6 +48,8 @@ STANDARD_OPTION_IDS = ("a", "b", "c", "d", "e")
 DEFAULT_LU_DEVIATION = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 EVENT_CSV_HEADER = ("student_id", "question_id", "event", "option_id", "timestamp_ms")
+# parse_event_log reads the log in slices of about this many characters.
+_CHUNK_CHARS = 65536
 _RESERVED_ID_CHARS = frozenset(',"\n\r')
 
 SCOPE_QUESTIONNAIRE = "questionnaire"
@@ -229,32 +231,47 @@ class QuestionnaireSpec:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class AssessmentEvent:
-    """One logged interaction: a question view or an answer selection."""
-
+class _EventFields(NamedTuple):
     student_id: str
     question_id: int
     kind: EventKind
     option_id: str | None
     timestamp_ms: int
 
-    def __post_init__(self) -> None:
-        _check_student_id(self.student_id)
-        if not isinstance(self.question_id, int) or self.question_id < 1:
+
+class AssessmentEvent(_EventFields):
+    """One logged interaction: a question view or an answer selection.
+
+    An immutable named tuple, read by field name or by unpacking. Building
+    one, ``_make`` and ``_replace`` included, checks its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, student_id: str, question_id: int, kind: EventKind, option_id: str | None,
+        timestamp_ms: int,
+    ) -> AssessmentEvent:
+        _check_student_id(student_id)
+        if not isinstance(question_id, int) or question_id < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
-        if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
+        if not isinstance(timestamp_ms, int) or timestamp_ms < 0:
             raise ValidationError(
                 "timestamp_ms must be a non-negative integer", field="timestamp_ms"
             )
-        if self.timestamp_ms > MAX_TIMESTAMP_MS:
+        if timestamp_ms > MAX_TIMESTAMP_MS:
             raise ValidationError(
                 f"timestamp_ms must not exceed {MAX_TIMESTAMP_MS}", field="timestamp_ms"
             )
-        if self.kind is EventKind.ANSWER and not self.option_id:
+        if kind is EventKind.ANSWER and not option_id:
             raise ValidationError("answer events need an option_id", field="option_id")
-        if self.kind is EventKind.VIEW and self.option_id is not None:
+        if kind is EventKind.VIEW and option_id is not None:
             raise ValidationError("view events must not carry an option_id", field="option_id")
+        return tuple.__new__(cls, (student_id, question_id, kind, option_id, timestamp_ms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> AssessmentEvent:
+        return cls(*iterable)
 
 
 def _check_student_id(student_id: str) -> None:
@@ -402,6 +419,17 @@ def _parse_int(raw: str, field: str) -> int:
         raise ParseError(f"{field} must be an integer, got {raw!r}") from None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``io.StringIO(text)``, read from slices of about
+    ``_CHUNK_CHARS`` characters, each cut just after a ``\\n``, so that no
+    copy of the whole text is made."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     """Parse the event CSV, given as a string, into one session per student.
 
@@ -410,24 +438,25 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     last timestamp unless an explicit ``end`` row (empty question_id and
     option_id) provides one. A line the ``csv`` module cannot read, such
     as one with a field over its size limit, raises a located ParseError.
+    Every event of a student holds the one id string of their session.
     """
     if not text.strip():
         return []
-    # Every check of AssessmentEvent.__post_init__ is made below, once per
-    # row (the id rule once per student), and every check of
+    # Every check of AssessmentEvent.__new__ is made below, once per row (the
+    # id rule once per student), and every check of
     # StudentSession.__post_init__ once per student (the same id rule, events
     # sorted and grouped by student id, the end against the last event), so
-    # both are built with object.__new__ and skip them.
+    # both are built with the bare tuple and object constructors.
     question_by_raw_id = {
         str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
         for q in spec.questions
     }
     kind_by_raw = {kind.value: kind for kind in EventKind}
-    new_object = object.__new__
-    set_field = object.__setattr__
-    events_by_student: dict[str, list[AssessmentEvent]] = {}
+    new_event = tuple.__new__
+    # By student id: the id string of the student's first row, and their events.
+    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader)
         if tuple(header) != EVENT_CSV_HEADER:
@@ -478,28 +507,27 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
                     f"duplicate end row for student {student_id!r}", field="event"
                 )
             # A student's first row of any kind registers them, once it passed its own checks.
-            events = events_by_student.get(student_id)
-            if events is None:
+            student = events_by_student.get(student_id)
+            if student is None:
                 _check_student_id(student_id)
-                events = events_by_student[student_id] = []
+                student = events_by_student[student_id] = (student_id, [])
             if kind is None:
                 end_by_student[student_id] = (timestamp_ms, reader.line_num)
                 continue
-            event = new_object(AssessmentEvent)
-            set_field(event, "student_id", student_id)
-            set_field(event, "question_id", question_id)
-            set_field(event, "kind", kind)
-            set_field(event, "option_id", option_id)
-            set_field(event, "timestamp_ms", timestamp_ms)
-            events.append(event)
+            student_id, events = student
+            events.append(
+                new_event(AssessmentEvent, (student_id, question_id, kind, option_id, timestamp_ms))
+            )
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
     except (ParseError, ValidationError) as exc:
         raise exc.locate(line=reader.line_num) from None
 
+    new_object = object.__new__
+    set_field = object.__setattr__
     sessions = []
-    for student_id, events in events_by_student.items():
-        events.sort(key=attrgetter("timestamp_ms"))
+    for student_id, events in events_by_student.values():
+        events.sort(key=itemgetter(4))  # timestamp_ms
         last = events[-1].timestamp_ms if events else 0
         end, end_line = end_by_student.get(student_id, (last, None))
         if end < last:

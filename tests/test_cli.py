@@ -1,5 +1,6 @@
 import argparse
 import codecs
+import gc
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from edumetrics import reporting, serialize_questionnaire
+from edumetrics import cli, reporting, serialize_questionnaire
 from edumetrics.cli import build_parser, main
 from helpers import make_question, make_spec
 
@@ -629,3 +630,34 @@ def test_failed_json_rerun_keeps_the_flat_csvs(tmp_path, capsys):
     before = {path: path.read_bytes() for path in written_files(out_dir)}
     assert_one_error_line(capsys, [*compute, "--events", str(bad)], "unknown option_id", "line=2")
     assert {path: path.read_bytes() for path in written_files(out_dir)} == before
+
+
+@pytest.fixture
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("bad-spec", 1), ("missing-events", 2)])
+def test_compute_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, capsys, restore_collector, enabled, case, code
+):
+    spec_path = write_spec(tmp_path, n=2)
+    events = tmp_path / "events.csv"
+    events.write_text(EVENT_HEADER + "\ns1,1,answer,a,1000\n", encoding="utf-8")
+    if case == "bad-spec":
+        spec_path.write_text("{not json", encoding="utf-8")
+    elif case == "missing-events":
+        events.unlink()
+    seen = []
+    summary = cli.build_class_summary
+    monkeypatch.setattr(
+        cli, "build_class_summary", lambda *args: seen.append(gc.isenabled()) or summary(*args)
+    )
+    (gc.enable if enabled else gc.disable)()
+    argv = ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(tmp_path)]
+    assert main(argv) == code
+    assert gc.isenabled() is enabled
+    assert seen == ([False] if code == 0 else [])

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import json
+import pickle
+import tracemalloc
 
 import pytest
 
@@ -11,7 +15,9 @@ from edumetrics import (
     event_log_csv,
     parse_event_log,
     parse_questionnaire,
+    profile_from_name,
     serialize_questionnaire,
+    simulate_class,
 )
 from helpers import make_question, make_spec
 
@@ -500,3 +506,74 @@ def test_session_constructor_rejects_an_id_the_log_cannot_carry(student_id):
     with pytest.raises(ValidationError) as err:
         StudentSession(student_id, (), 5)
     assert err.value.field == "student_id"
+
+
+ANSWER = AssessmentEvent("s1", 2, EventKind.ANSWER, "b", 5)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ANSWER._replace(timestamp_ms=-1), "timestamp_ms"),
+        (lambda: ANSWER._replace(option_id=None), "option_id"),
+        (lambda: AssessmentEvent._make(["", 1, EventKind.VIEW, None, 0]), "student_id"),
+    ],
+    ids=["replace-timestamp", "replace-option", "make-student-id"],
+)
+def test_event_checks_its_fields_on_replace_and_make(build, field):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.field == field
+
+
+def test_event_is_a_named_tuple_with_the_dataclass_fields_and_repr():
+    assert AssessmentEvent._fields == (
+        "student_id", "question_id", "kind", "option_id", "timestamp_ms"
+    )
+    assert repr(ANSWER) == (
+        "AssessmentEvent(student_id='s1', question_id=2, kind=<EventKind.ANSWER: 'answer'>, "
+        "option_id='b', timestamp_ms=5)"
+    )
+    _, question_id, kind, _, timestamp_ms = ANSWER
+    assert (question_id, kind, timestamp_ms) == (ANSWER.question_id, ANSWER.kind, 5)
+    assert ANSWER == ("s1", 2, EventKind.ANSWER, "b", 5)
+    assert ANSWER._replace(timestamp_ms=7) == ("s1", 2, EventKind.ANSWER, "b", 7)
+    for twin in (pickle.loads(pickle.dumps(ANSWER)), copy.copy(ANSWER), copy.deepcopy(ANSWER)):
+        assert type(twin) is AssessmentEvent
+        assert twin == ANSWER
+    with pytest.raises(AttributeError):
+        ANSWER.timestamp_ms = 6
+
+
+def test_asdict_of_a_session_keeps_its_events_as_tuples():
+    fields = dataclasses.asdict(StudentSession("s1", (ANSWER,), 5))
+    assert fields == {"student_id": "s1", "events": (ANSWER,), "session_end_ms": 5}
+    assert type(fields["events"][0]) is AssessmentEvent
+
+
+def test_parsed_events_share_their_session_id_string():
+    rows = [f"{sid},{qid},view,,{ts}" for ts, (sid, qid) in enumerate(
+        [("s1", 1), ("s2", 1), ("s1", 2), ("s2", 2), ("s1", 3)]
+    )]
+    sessions = parse_event_log(event_csv([*rows, "s2,,end,,99"]), make_spec(n=3))
+    assert [len(s.events) for s in sessions] == [3, 2]
+    for session in sessions:
+        assert all(event.student_id is session.student_id for event in session.events)
+
+
+def test_parse_memory_is_bounded_by_the_sessions():
+    # North star: memory is bounded by what the class needs, not by the size of
+    # the log. The parse holds no copy of the whole text, and each event holds
+    # its student's one id string.
+    spec = make_spec(n=40)
+    text = event_log_csv(simulate_class(profile_from_name("self-corrector", 5), spec, 220))
+    assert len(text) >= 1_000_000
+    tracemalloc.start()
+    try:
+        sessions = parse_event_log(text, spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    events = sum(len(session.events) for session in sessions)
+    assert peak - retained < len(text)
+    assert retained < 145 * events

@@ -1,4 +1,7 @@
-"""Property tests: valid sessions survive the event CSV round trip."""
+"""Property tests: valid sessions survive the event CSV round trip, and the
+parser's chunked reader yields the lines of one ``io.StringIO``."""
+
+import io
 
 import pytest
 
@@ -13,6 +16,7 @@ from edumetrics import (
     event_log_csv,
     parse_event_log,
 )
+from edumetrics import domain_model
 from helpers import make_question, make_spec
 
 SPEC = make_spec(
@@ -83,3 +87,14 @@ def test_event_log_round_trip(sessions, data):
             assert hash(event) == hash(rebuilt)
     mixed = parse_event_log(interleave(data.draw, text), SPEC)
     assert {s.student_id: s for s in mixed} == {s.student_id: s for s in sessions}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    text=st.text(alphabet='a,"\n\r', max_size=60),
+    chunk=st.sampled_from([1, 2, 7, domain_model._CHUNK_CHARS]),
+)
+def test_chunked_lines_equal_the_lines_of_one_stringio(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
+        assert list(domain_model._lines(text)) == list(io.StringIO(text))

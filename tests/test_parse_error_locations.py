@@ -20,6 +20,7 @@ from edumetrics import (
     parse_event_log,
     parse_questionnaire,
 )
+from edumetrics import domain_model
 from edumetrics.domain_model import MAX_TIMESTAMP_MS
 from test_event_log_properties import SPEC, sessions_of
 
@@ -83,6 +84,30 @@ def test_row_fault_is_reported_at_its_line(log, fault, data):
     assert err.line == index + 1
     if error is ValidationError:
         assert err.field == field
+
+
+def outcome(text):
+    """The sessions parsed from ``text``, or its error's type, field and line."""
+    try:
+        return parse_event_log(text, SPEC)
+    except (ParseError, ValidationError) as err:
+        return type(err), getattr(err, "field", None), err.line
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(log=logs(), fault=st.sampled_from([None, *sorted(ROW_FAULTS)]), data=st.data())
+def test_chunk_size_changes_no_parse_outcome(log, fault, data):
+    lines, rows = log
+    if fault is not None:
+        index = data.draw(st.sampled_from(rows))
+        student_id, _, _, _, timestamp = lines[index].split(",")
+        lines[index] = ",".join(ROW_FAULTS[fault][0](student_id, timestamp))
+    text = "\n".join(lines) + "\n"
+    expected = outcome(text)
+    for chunk in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
+            assert outcome(text) == expected
 
 
 @settings(max_examples=60, deadline=None, database=None)
