@@ -222,6 +222,11 @@ class QuestionnaireSpec:
         return tuple(layout)
 
     @cached_property
+    def options_by_id(self) -> tuple[dict[str, AnswerOption], ...]:
+        """Per question, in order, its options by option id. Built once per spec."""
+        return tuple({o.option_id: o for o in q.options} for q in self.questions)
+
+    @cached_property
     def subsets_of_question(self) -> tuple[tuple[int, ...], ...]:
         """Per question, the indices into ``subset_layout`` of the question
         sets that hold it, ascending. Built once per spec."""
@@ -452,6 +457,7 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
         for q in spec.questions
     }
     kind_by_raw = {kind.value: kind for kind in EventKind}
+    answer = EventKind.ANSWER
     new_event = tuple.__new__
     # By student id: the id string of the student's first row, and their events.
     events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
@@ -486,7 +492,7 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
                     question = question_by_raw_id[str(question_id)]
                 question_id, option_ids = question
                 option_id = None
-                if kind is EventKind.ANSWER:
+                if kind is answer:
                     if raw_option not in option_ids:
                         raise ValidationError(
                             f"unknown option_id {raw_option!r}",

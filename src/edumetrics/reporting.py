@@ -21,6 +21,8 @@ import io
 import json
 import math
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from .analytics import (
@@ -43,6 +45,8 @@ from .domain_model import (
 )
 from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
+
+_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
 
 
 class GroupIndices(NamedTuple):
@@ -123,7 +127,8 @@ def compute_student(
     Each per-question fact is computed once (qcl branch for branch as in
     :func:`question_comprehension_level`); each row of ``spec.subset_layout``
     sums them in the subset's order, as the metric definitions do. One walk
-    of the answer sequence counts every subset's transitions for disorder.
+    of the answer sequence, one step per run of answers to one question,
+    counts every subset's transitions for disorder.
     Difficulty indices and expected times are checked once per spec, when it
     is built; answer weights when each ``AnswerOption`` is; ad, ts and ws per
     subset. Times need no check: a ``StudentSession`` keeps its events in time
@@ -136,7 +141,8 @@ def compute_student(
     rows: list = [None]
     for question in spec.questions:
         response = responses[question.question_id]
-        w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
+        qid, markings, _, srt_s = response
+        w, t = response.final_weight, question.expected_time_s
         ecl = float(question.qdi * question.cdi * w)
         mcl = float(question.qdi * question.cdi * 4)
         if srt_s <= t * FAST_FRACTION:
@@ -146,18 +152,19 @@ def compute_student(
         else:
             level = ecl / (mcl + (srt_s - t) / t)
         # Rows are built with positional arguments, cheaper than keywords.
-        rows.append(QuestionRow(
-            question.question_id, response.markings, question_doubt(response), w, srt_s, level
-        ))
+        rows.append(QuestionRow(qid, markings, question_doubt(response), w, srt_s, level))
 
     # Per subset: last question id answered (0: none), transitions, in-order ones.
     layout, holders = spec.subset_layout, spec.subsets_of_question
     last, steps, in_order = [0] * len(layout), [0] * len(layout), [0] * len(layout)
-    for qid, _ in sequence.entries:
+    # A run of r answers to question q gives every subset holding q r - 1
+    # transitions, all in order, plus one from the subset's previous answer.
+    for qid, run in groupby(sequence.entries, _QUESTION_ID):
+        repeats = len(list(run)) - 1
         for index in holders[qid - 1]:
-            if last[index]:
-                steps[index] += 1
-                in_order[index] += last[index] <= qid
+            previous = last[index]
+            steps[index] += repeats + (previous > 0)
+            in_order[index] += repeats + (0 < previous <= qid)
             last[index] = qid
 
     subset_rows = []

@@ -10,10 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
 from .errors import DomainError
+
+# An event carries an option id exactly when it is an answer (checked by
+# AssessmentEvent.__new__ and by parse_event_log), so filter(_OPTION_ID,
+# events) keeps the answers and all(map(_OPTION_ID, events)) finds no view.
+_QUESTION_ID = itemgetter(1)
+_OPTION_ID = itemgetter(3)
+_QUESTION_AND_OPTION_IDS = itemgetter(1, 3)
 
 
 class SrtMode(Enum):
@@ -33,22 +42,36 @@ class SrtMode(Enum):
     ANSWER_INTERVALS = "answer"
 
 
-@dataclass(frozen=True)
-class QuestionResponse:
-    """What a student did on one question: markings, final pick, time."""
-
+class _ResponseFields(NamedTuple):
     question_id: int
     markings: int
     final_option: AnswerOption | None
     srt_s: float
 
-    def __post_init__(self) -> None:
-        if self.markings < 0:
-            raise DomainError(f"markings must be non-negative, got {self.markings}")
-        if (self.final_option is not None) != (self.markings >= 1):
+
+class QuestionResponse(_ResponseFields):
+    """What a student did on one question: markings, final pick, time.
+
+    An immutable named tuple. Building one, ``_make`` and ``_replace``
+    included, checks its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, question_id: int, markings: int, final_option: AnswerOption | None, srt_s: float
+    ) -> QuestionResponse:
+        if markings < 0:
+            raise DomainError(f"markings must be non-negative, got {markings}")
+        if (final_option is not None) != (markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
-        if not 0.0 <= self.srt_s < math.inf:
-            raise DomainError(f"srt_s must be finite and non-negative, got {self.srt_s}")
+        if not 0.0 <= srt_s < math.inf:
+            raise DomainError(f"srt_s must be finite and non-negative, got {srt_s}")
+        return tuple.__new__(cls, (question_id, markings, final_option, srt_s))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> QuestionResponse:
+        return cls(*iterable)
 
     @property
     def is_correct(self) -> bool:
@@ -80,8 +103,7 @@ class AnswerSequence:
 
 def pick_srt_mode(session: StudentSession) -> SrtMode:
     """VIEW_INTERVALS when the session carries any view event, else ANSWER_INTERVALS."""
-    view = EventKind.VIEW
-    if any(kind is view for _, _, kind, _, _ in session.events):
+    if not all(map(_OPTION_ID, session.events)):
         return SrtMode.VIEW_INTERVALS
     return SrtMode.ANSWER_INTERVALS
 
@@ -112,8 +134,8 @@ def derive_responses(
     events = session.events
     answer = EventKind.ANSWER
     markings, final_option_id, srt_ms = {}, {}, {}  # by question id
-    # The loops unpack each event: in CPython 3.11 a tuple unpack is cheaper
-    # than reading named-tuple fields.
+    # The view loop unpacks each event: in CPython 3.11 a tuple unpack is
+    # cheaper than reading named-tuple fields.
     if mode is SrtMode.VIEW_INTERVALS:
         # Each gap goes to the question of the event opening it (0, unread, before any).
         current, since = 0, events[0].timestamp_ms if events else 0
@@ -125,28 +147,36 @@ def derive_responses(
                 final_option_id[qid] = option_id
         srt_ms[current] = srt_ms.get(current, 0) + session.session_end_ms - since
     else:
-        # The first answer is charged from the first event, view or not.
+        # The first answer is charged from the first event, view or not. One
+        # step per run of answers to one question: the gaps inside a run add
+        # up to its last answer's time minus the time before its first.
         since = events[0].timestamp_ms if events else 0
-        for _, qid, kind, option_id, ts in events:
-            if kind is answer:
-                markings[qid] = markings.get(qid, 0) + 1
-                final_option_id[qid] = option_id
-                srt_ms[qid] = srt_ms.get(qid, 0) + ts - since
-                since = ts
+        for qid, (*earlier, (_, _, _, option_id, ts)) in groupby(
+            filter(_OPTION_ID, events), _QUESTION_ID
+        ):
+            markings[qid] = markings.get(qid, 0) + len(earlier) + 1
+            final_option_id[qid] = option_id
+            srt_ms[qid] = srt_ms.get(qid, 0) + ts - since
+            since = ts
 
+    # The checks of QuestionResponse.__new__ hold by construction: markings
+    # count answers, each answered question has a final option, and every
+    # gap is >= 0 in a session, whose times are ordered and bounded.
+    new_response = tuple.__new__
     responses = {}
-    for question in spec.questions:
+    for question, options in zip(spec.questions, spec.options_by_id):
         qid = question.question_id
-        option = question.option(final_option_id[qid]) if qid in final_option_id else None
-        responses[qid] = QuestionResponse(
-            qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0
+        option_id = final_option_id.get(qid)
+        # An option id the question does not offer raises through question.option.
+        option = None if option_id is None else options.get(option_id) or question.option(option_id)
+        responses[qid] = new_response(
+            QuestionResponse, (qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0)
         )
     return responses
 
 
 def derive_answer_sequence(session: StudentSession) -> AnswerSequence:
     """Answer events only, in time order, duplicates preserved."""
-    answer = EventKind.ANSWER
     return AnswerSequence(
-        tuple([(qid, option_id) for _, qid, kind, option_id, _ in session.events if kind is answer])
+        tuple(map(_QUESTION_AND_OPTION_IDS, filter(_OPTION_ID, session.events)))
     )

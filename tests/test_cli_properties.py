@@ -3,6 +3,7 @@ every report written, or 1 with a message that names the file and
 locates the fault, and never lets an exception escape."""
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -83,7 +84,9 @@ def _edit_spec(edits):
             if value is DROP:
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = value
+                # A copy: the sampled [] and {} are shared by every example, and a
+                # later edit of this example may write into the value.
+                parent[path[-1]] = copy.deepcopy(value)
         except (KeyError, IndexError, TypeError):
             continue
     return json.dumps(doc)

@@ -69,14 +69,18 @@ def _gaps(*questions):
 @st.composite
 def sessions(draw, spec):
     """Views and answers, re-marks included, and a session end at or
-    after the last event. A gap may be an edge of the question it is
-    charged to in either srt mode: the one before it in view mode, the
-    one after it in answer mode."""
+    after the last event. Each event may stay on the question before it,
+    so runs of answers to one question, with views between some of them,
+    are common. A gap may be an edge of the question it is charged to in
+    either srt mode: the one before it in view mode, the one after it in
+    answer mode."""
     stamp = draw(st.integers(min_value=0, max_value=10**6))
     events = []
     question = None
-    for _ in range(draw(st.integers(min_value=0, max_value=14))):
-        previous, question = question, draw(st.sampled_from(spec.questions))
+    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+        previous = question
+        if previous is None or not draw(st.booleans()):
+            question = draw(st.sampled_from(spec.questions))
         if draw(st.booleans()):
             kind, option_id = EventKind.ANSWER, draw(st.sampled_from(question.options)).option_id
         else:
@@ -147,10 +151,29 @@ def _one_answer(view_srt_ms):
                                 session_end_ms=1000 + view_srt_ms)
 
 
+def _steps(subjects, *steps):
+    """One question per letter of ``subjects``, in that subject, and a session
+    of ``steps`` 1.5 s apart: (question id, option id) is an answer,
+    (question id, None) a view."""
+    spec = make_spec([make_question(q, subject=s) for q, s in enumerate(subjects, start=1)])
+    events = tuple(
+        AssessmentEvent("s", qid, EventKind.VIEW if option_id is None else EventKind.ANSWER,
+                        option_id, 1500 * i)
+        for i, (qid, option_id) in enumerate(steps)
+    )
+    return spec, StudentSession("s", events, 1500 * len(steps))
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(case=specs_and_sessions())
 @example(case=_one_answer(500))  # srt is exactly a quarter of the expected time
 @example(case=_one_answer(2000))  # and exactly the expected time
+# The whole session is one run.
+@example(case=_steps("AB", (1, "a"), (1, "b"), (1, "b"), (1, "c"), (1, "a"), (1, "d")))
+# Question 2's run is the first answer of subject B; 3 then 1 is out of order.
+@example(case=_steps("ABA", (1, "a"), (2, "b"), (2, "a"), (2, "a"), (3, "c"), (1, "e")))
+# In both modes q1, q1, a view of q2, then q1 is one run of three answers.
+@example(case=_steps("AB", (1, "a"), (1, "b"), (2, None), (1, "c")))
 def test_compute_student_equals_metric_definitions(case):
     spec, session = case
     sequence = derive_answer_sequence(session)

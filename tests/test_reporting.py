@@ -53,6 +53,15 @@ REPORT_DIGESTS = {
     "plotdata/subject_srt.csv": "2569d10986ba17a6161543da0a5a4e48765a8727c13db4caa2deb3ff7d2a2291",
 }
 
+# The same for `compute --srt-mode answer --format csv`, recorded from the
+# implementation that derived answer intervals one answer event at a time.
+# The simulator opens each view at the time of the answer before it, so
+# only class.json, which names the mode, differs from REPORT_DIGESTS.
+ANSWER_MODE_DIGESTS = {
+    **REPORT_DIGESTS,
+    "class.json": "f900421038b470ab1d7bdba10b02aabfcfdcc0a7cdda2445c7809dba744c1e0e",
+}
+
 
 def _overlapping_spec():
     """12 questions over 3 subjects; each question sits in 3 of 5 topics."""
@@ -105,13 +114,13 @@ def _write_inputs(tmp_path):
     return spec_path, events_path
 
 
-def report_digests(tmp_path):
+def report_digests(tmp_path, *options):
     spec_path, events_path = _write_inputs(tmp_path)
     out_dir = tmp_path / "out"
     code = main(
         [
             "compute", "--spec", str(spec_path), "--events", str(events_path),
-            "--out", str(out_dir), "--format", "csv",
+            "--out", str(out_dir), "--format", "csv", *options,
         ]
     )
     assert code == 0
@@ -123,6 +132,10 @@ def report_digests(tmp_path):
 
 def test_report_bytes_match_recorded_digests(tmp_path):
     assert report_digests(tmp_path) == REPORT_DIGESTS
+
+
+def test_answer_mode_report_bytes_match_recorded_digests(tmp_path):
+    assert report_digests(tmp_path, "--srt-mode", "answer") == ANSWER_MODE_DIGESTS
 
 
 def test_reported_sums_are_correctly_rounded():
@@ -269,6 +282,13 @@ def test_subset_layout_is_built_once_per_spec():
     assert spec.subset_layout[0] == ("questionnaire", None, tuple(range(1, 13)))
     assert spec.subset_layout[1] == ("subject", "Algebra", (1, 2, 3, 4))
     assert spec.subset_layout[4][:2] == ("topic", 1)
+
+
+def test_options_by_id_is_built_once_per_spec():
+    spec = _overlapping_spec()
+    assert spec.options_by_id is spec.options_by_id
+    assert [list(table) for table in spec.options_by_id] == [["a", "b", "c", "d", "e"]] * 12
+    assert spec.options_by_id[1]["b"] is spec.question(2).option("b")
 
 
 def test_compute_student_walks_the_answers_once(monkeypatch):
