@@ -147,13 +147,17 @@ class QuestionSpec:
     def correct_option(self) -> AnswerOption:
         return next(o for o in self.options if o.is_correct)
 
+    @cached_property
+    def _options_by_id(self) -> dict[str, AnswerOption]:
+        return {opt.option_id: opt for opt in self.options}
+
     def option(self, option_id: str) -> AnswerOption:
-        for opt in self.options:
-            if opt.option_id == option_id:
-                return opt
-        raise ValidationError(
-            f"unknown option_id {option_id!r}", field="option_id", question_id=self.question_id
-        )
+        found = self._options_by_id.get(option_id)
+        if found is None:
+            raise ValidationError(
+                f"unknown option_id {option_id!r}", field="option_id", question_id=self.question_id
+            )
+        return found
 
 
 @dataclass(frozen=True)
@@ -220,11 +224,6 @@ class QuestionnaireSpec:
             ids = tuple(q.question_id for q in self.questions if topic in q.topic_ids)
             layout.append((SCOPE_TOPIC, topic, ids))
         return tuple(layout)
-
-    @cached_property
-    def options_by_id(self) -> tuple[dict[str, AnswerOption], ...]:
-        """Per question, in order, its options by option id. Built once per spec."""
-        return tuple({o.option_id: o for o in q.options} for q in self.questions)
 
     @cached_property
     def subsets_of_question(self) -> tuple[tuple[int, ...], ...]:

@@ -46,7 +46,7 @@ from .domain_model import (
 from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
-_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
+_ENTRY_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
 
 
 class GroupIndices(NamedTuple):
@@ -141,8 +141,7 @@ def compute_student(
     rows: list = [None]
     for question in spec.questions:
         response = responses[question.question_id]
-        qid, markings, _, srt_s = response
-        w, t = response.final_weight, question.expected_time_s
+        w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
         ecl = float(question.qdi * question.cdi * w)
         mcl = float(question.qdi * question.cdi * 4)
         if srt_s <= t * FAST_FRACTION:
@@ -152,14 +151,16 @@ def compute_student(
         else:
             level = ecl / (mcl + (srt_s - t) / t)
         # Rows are built with positional arguments, cheaper than keywords.
-        rows.append(QuestionRow(qid, markings, question_doubt(response), w, srt_s, level))
+        rows.append(QuestionRow(
+            question.question_id, response.markings, question_doubt(response), w, srt_s, level
+        ))
 
     # Per subset: last question id answered (0: none), transitions, in-order ones.
     layout, holders = spec.subset_layout, spec.subsets_of_question
     last, steps, in_order = [0] * len(layout), [0] * len(layout), [0] * len(layout)
     # A run of r answers to question q gives every subset holding q r - 1
     # transitions, all in order, plus one from the subset's previous answer.
-    for qid, run in groupby(sequence.entries, _QUESTION_ID):
+    for qid, run in groupby(sequence.entries, _ENTRY_QUESTION_ID):
         repeats = len(list(run)) - 1
         for index in holders[qid - 1]:
             previous = last[index]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
 from .errors import DomainError
@@ -42,36 +42,22 @@ class SrtMode(Enum):
     ANSWER_INTERVALS = "answer"
 
 
-class _ResponseFields(NamedTuple):
+@dataclass(frozen=True)
+class QuestionResponse:
+    """What a student did on one question: markings, final pick, time."""
+
     question_id: int
     markings: int
     final_option: AnswerOption | None
     srt_s: float
 
-
-class QuestionResponse(_ResponseFields):
-    """What a student did on one question: markings, final pick, time.
-
-    An immutable named tuple. Building one, ``_make`` and ``_replace``
-    included, checks its fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, question_id: int, markings: int, final_option: AnswerOption | None, srt_s: float
-    ) -> QuestionResponse:
-        if markings < 0:
-            raise DomainError(f"markings must be non-negative, got {markings}")
-        if (final_option is not None) != (markings >= 1):
+    def __post_init__(self) -> None:
+        if self.markings < 0:
+            raise DomainError(f"markings must be non-negative, got {self.markings}")
+        if (self.final_option is not None) != (self.markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
-        if not 0.0 <= srt_s < math.inf:
-            raise DomainError(f"srt_s must be finite and non-negative, got {srt_s}")
-        return tuple.__new__(cls, (question_id, markings, final_option, srt_s))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> QuestionResponse:
-        return cls(*iterable)
+        if not 0.0 <= self.srt_s < math.inf:
+            raise DomainError(f"srt_s must be finite and non-negative, got {self.srt_s}")
 
     @property
     def is_correct(self) -> bool:
@@ -159,18 +145,12 @@ def derive_responses(
             srt_ms[qid] = srt_ms.get(qid, 0) + ts - since
             since = ts
 
-    # The checks of QuestionResponse.__new__ hold by construction: markings
-    # count answers, each answered question has a final option, and every
-    # gap is >= 0 in a session, whose times are ordered and bounded.
-    new_response = tuple.__new__
     responses = {}
-    for question, options in zip(spec.questions, spec.options_by_id):
+    for question in spec.questions:
         qid = question.question_id
-        option_id = final_option_id.get(qid)
-        # An option id the question does not offer raises through question.option.
-        option = None if option_id is None else options.get(option_id) or question.option(option_id)
-        responses[qid] = new_response(
-            QuestionResponse, (qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0)
+        option = question.option(final_option_id[qid]) if qid in final_option_id else None
+        responses[qid] = QuestionResponse(
+            qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0
         )
     return responses
 

@@ -284,13 +284,6 @@ def test_subset_layout_is_built_once_per_spec():
     assert spec.subset_layout[4][:2] == ("topic", 1)
 
 
-def test_options_by_id_is_built_once_per_spec():
-    spec = _overlapping_spec()
-    assert spec.options_by_id is spec.options_by_id
-    assert [list(table) for table in spec.options_by_id] == [["a", "b", "c", "d", "e"]] * 12
-    assert spec.options_by_id[1]["b"] is spec.question(2).option("b")
-
-
 def test_compute_student_walks_the_answers_once(monkeypatch):
     """No per-subset filter of the answer sequence and no per-question
     ComprehensionInputs: either one raises here."""

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 
 import pytest
@@ -42,39 +40,6 @@ def test_markings_and_final_options():
 def test_question_response_rejects_option_marking_mismatch(markings, final_option):
     with pytest.raises(DomainError, match="final_option must be present exactly"):
         QuestionResponse(question_id=1, markings=markings, final_option=final_option, srt_s=0.0)
-
-
-RESPONSE = QuestionResponse(3, 2, AnswerOption("b", 3, 4), 1.5)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: RESPONSE._replace(markings=-1),
-        lambda: RESPONSE._replace(final_option=None),
-        lambda: QuestionResponse._make([1, 0, None, -1.0]),
-    ],
-    ids=["replace-markings", "replace-option", "make-srt"],
-)
-def test_response_checks_its_fields_on_replace_and_make(build):
-    with pytest.raises(DomainError):
-        build()
-
-
-def test_response_is_a_named_tuple_with_the_dataclass_fields_and_repr():
-    assert QuestionResponse._fields == ("question_id", "markings", "final_option", "srt_s")
-    assert repr(RESPONSE) == (
-        "QuestionResponse(question_id=3, markings=2, final_option=AnswerOption(option_id='b', "
-        "ws_weight=3, lu_deviation=4), srt_s=1.5)"
-    )
-    assert RESPONSE == (3, 2, AnswerOption("b", 3, 4), 1.5)
-    assert (RESPONSE.is_correct, RESPONSE.final_weight) == (False, 3)
-    assert RESPONSE._replace(srt_s=2.0) == (3, 2, AnswerOption("b", 3, 4), 2.0)
-    for twin in (pickle.loads(pickle.dumps(RESPONSE)), copy.copy(RESPONSE), copy.deepcopy(RESPONSE)):
-        assert type(twin) is QuestionResponse
-        assert twin == RESPONSE
-    with pytest.raises(AttributeError):
-        RESPONSE.srt_s = 2.0
 
 
 def test_derive_rejects_an_option_the_question_does_not_offer():
