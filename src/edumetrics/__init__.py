@@ -65,15 +65,6 @@ from .isolated_metrics import (
     traditional_score,
     weighted_score,
 )
-from .literature_metrics import (
-    LuInputs,
-    ResponseTimeClass,
-    ScoreSeries,
-    classify_response_time,
-    difficulty_level,
-    level_of_understanding,
-    student_learning_rate,
-)
 from .session_derivation import (
     AnswerSequence,
     QuestionResponse,
@@ -83,13 +74,38 @@ from .session_derivation import (
     pick_log_srt_mode,
     pick_srt_mode,
 )
-from .simulator import (
-    BehaviorKind,
-    BehaviorProfile,
-    SplitMix64,
-    profile_from_name,
-    simulate_class,
-    simulate_student,
-)
 
 __version__ = "0.1.0"
+
+# Names whose modules load on first use, so ``edumetrics compute`` never
+# imports them (PEP 562).
+_LAZY = {
+    "LuInputs": "literature_metrics",
+    "ResponseTimeClass": "literature_metrics",
+    "ScoreSeries": "literature_metrics",
+    "classify_response_time": "literature_metrics",
+    "difficulty_level": "literature_metrics",
+    "level_of_understanding": "literature_metrics",
+    "student_learning_rate": "literature_metrics",
+    "BehaviorKind": "simulator",
+    "BehaviorProfile": "simulator",
+    "SplitMix64": "simulator",
+    "profile_from_name": "simulator",
+    "simulate_class": "simulator",
+    "simulate_student": "simulator",
+}
+# Star imports get every public name, loaded or not.
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -6,7 +6,6 @@ All aggregations consume immutable per-student results.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,8 +16,6 @@ from .domain_model import QuestionnaireSpec
 from .errors import DomainError
 from .isolated_metrics import QuestionSubset, SubsetLike, level_of_disorder
 from .session_derivation import AnswerSequence, QuestionResponse
-
-logger = logging.getLogger(__name__)
 
 ScorePair = tuple[float, float]
 
@@ -128,7 +125,12 @@ def rank_priorities(
     scored = []
     for element, pairs in per_element_ts_ws.items():
         if not pairs:
-            logger.warning("element %r has no scores and was excluded from the ranking", element)
+            # Imported here: no class report drops an element, so compute never loads logging.
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "element %r has no scores and was excluded from the ranking", element
+            )
             continue
         mean_priority = math.fsum(priority(ts, ws) for ts, ws in pairs) / len(pairs)
         scored.append((element, mean_priority / 10.0))

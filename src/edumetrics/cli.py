@@ -16,6 +16,7 @@ import gc
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .analytics import build_grouping
 from .domain_model import event_log_csv, parse_event_log, parse_questionnaire
@@ -32,7 +33,6 @@ from .reporting import (
     subject_srt_csv,
 )
 from .session_derivation import SrtMode, pick_log_srt_mode
-from .simulator import MASK64, profile_from_name, simulate_class
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -126,6 +126,8 @@ def _compute(args: argparse.Namespace) -> None:
 
 
 def run_simulate(args: argparse.Namespace) -> None:
+    from .simulator import MASK64, profile_from_name, simulate_class
+
     if not 0 <= args.seed <= MASK64:
         raise DomainError("--seed must fit in 64 bits")
     if args.count < 0:
@@ -190,3 +192,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def console_entry() -> NoReturn:
+    """Run ``main`` as the ``edumetrics`` command and ``python -m edumetrics``.
+
+    Once ``main`` returns, every report file is written, closed and renamed,
+    so the process flushes its standard streams and ends with ``os._exit``
+    instead of tearing the interpreter down. A ``SystemExit`` from argparse
+    leaves the normal way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -156,7 +156,9 @@ def test_rank_priorities_skips_empty_elements_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
         rankings = rank_priorities({"full": [(5.0, 5.0)], "empty": []})
     assert [r.element for r in rankings] == ["full"]
-    assert any("empty" in record.message for record in caplog.records)
+    assert [(r.name, r.levelno) for r in caplog.records if "empty" in r.message] == [
+        ("edumetrics.analytics", logging.WARNING)
+    ]
 
 
 def test_srt_vs_expected_flags():

@@ -245,6 +245,65 @@ def test_compute_missing_input_exit_two(tmp_path):
     assert result.returncode == 2
 
 
+def test_long_error_line_reaches_a_pipe_whole(tmp_path):
+    # The command ends in os._exit, so stderr must be flushed before it.
+    spec_path = write_spec(tmp_path)
+    events = tmp_path.joinpath(*["x" * 250] * 12, "absent.csv")
+    result = run_cli(
+        "compute", "--spec", str(spec_path), "--events", str(events),
+        "--out", str(tmp_path / "out"),
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{events}'\n"
+
+
+def test_console_entry_flushes_both_streams_and_exits_with_mains_code():
+    script = (
+        "import sys\n"
+        "import edumetrics.cli as cli\n"
+        "cli.main = lambda: print('out', end='') or print('err', end='', file=sys.stderr) or 3\n"
+        "cli.console_entry()\n"
+    )
+    # Buffered streams, as they are by default, so only a flush delivers the text.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (3, "out", "err")
+
+
+def test_usage_error_leaves_through_argparse():
+    result = run_cli("compute", "--spec", "s.json", "--events", "e.csv", "--threshold", "abc")
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: edumetrics compute")
+    assert result.stderr.endswith("argument --threshold: invalid float value: 'abc'\n")
+
+
+# Modules that edumetrics compute has no use for.
+UNUSED_BY_COMPUTE = ("logging", "edumetrics.simulator", "edumetrics.literature_metrics")
+
+
+@pytest.mark.parametrize(
+    "command, loaded", [("compute", []), ("simulate", ["edumetrics.simulator"])]
+)
+def test_main_imports_only_what_its_command_runs(tmp_path, command, loaded):
+    spec_path = write_spec(tmp_path)
+    if command == "compute":
+        events = simulate_events(tmp_path, spec_path, count=2)
+        argv = [command, "--spec", str(spec_path), "--events", str(events),
+                "--out", str(tmp_path / "out"), "--format", "csv"]
+    else:
+        argv = [command, "--spec", str(spec_path), "--profile", "guesser",
+                "--count", "2", "--out", str(tmp_path / "events.csv")]
+    script = (
+        "import sys\n"
+        "from edumetrics.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(*[name for name in {UNUSED_BY_COMPUTE!r} if name in sys.modules])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == loaded
+
+
 def test_compute_csv_format_writes_flat_files(tmp_path):
     spec_path = write_spec(tmp_path)
     events = simulate_events(tmp_path, spec_path, count=2)
