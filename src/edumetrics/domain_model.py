@@ -30,6 +30,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,7 +50,7 @@ DEFAULT_LU_DEVIATION = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 EVENT_CSV_HEADER = ("student_id", "question_id", "event", "option_id", "timestamp_ms")
 # parse_event_log reads the log in slices of about this many characters.
-_CHUNK_CHARS = 65536
+_CHUNK_CHARS = 16384
 _RESERVED_ID_CHARS = frozenset(',"\n\r')
 
 SCOPE_QUESTIONNAIRE = "questionnaire"
@@ -423,15 +424,20 @@ def _parse_int(raw: str, field: str) -> int:
         raise ParseError(f"{field} must be an integer, got {raw!r}") from None
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``io.StringIO(text)``, read from slices of about
-    ``_CHUNK_CHARS`` characters, each cut just after a ``\\n``, so that no
-    copy of the whole text is made."""
-    start = 0
+def _slices(text: str, start: int = 0) -> Iterator[tuple[int, int]]:
+    """(start, end) of the slices of ``text[start:]``: about ``_CHUNK_CHARS``
+    characters each, each cut just after a ``\\n``."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
+        yield start, end
         start = end
+
+
+def _lines(text: str, start: int = 0) -> Iterator[str]:
+    """The lines of ``io.StringIO(text[start:])``, read slice by slice, so
+    that no copy of the whole text is made."""
+    for start, end in _slices(text, start):
+        yield from io.StringIO(text[start:end])
 
 
 def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
@@ -443,14 +449,113 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     option_id) provides one. A line the ``csv`` module cannot read, such
     as one with a field over its size limit, raises a located ParseError.
     Every event of a student holds the one id string of their session.
+
+    The log is read in slices. While the slices are plain (the exact header,
+    then unquoted rows with LF line ends, question ids spelled as the spec
+    spells them, no blank lines and no ``end`` rows), :func:`_parse_columns`
+    checks each as whole columns. From the first slice that is not, the row
+    loop, :func:`_parse_rows`, reads the rest of the text. The row loop is
+    the definition: the sessions and every error (type, message, field,
+    line) are the same whichever path reads a row.
     """
-    if not text.strip():
+    if not text or text.isspace():
         return []
-    # Every check of AssessmentEvent.__new__ is made below, once per row (the
-    # id rule once per student), and every check of
-    # StudentSession.__post_init__ once per student (the same id rule, events
+    # Both paths make every check of AssessmentEvent.__new__ (the id rule once
+    # per student) and of StudentSession.__post_init__ (the same id rule, events
     # sorted and grouped by student id, the end against the last event), so
     # both are built with the bare tuple and object constructors.
+    # By student id: the id string of the student's first row, and their events.
+    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
+    start, line = _parse_columns(text, spec, events_by_student)
+    end_by_student = {}
+    if start < len(text):
+        end_by_student = _parse_rows(text, start, line, spec, events_by_student)
+
+    new_object = object.__new__
+    set_field = object.__setattr__
+    sessions = []
+    for student_id, events in events_by_student.values():
+        events.sort(key=itemgetter(4))  # timestamp_ms
+        last = events[-1].timestamp_ms if events else 0
+        end, end_line = end_by_student.get(student_id, (last, None))
+        if end < last:
+            raise ValidationError(
+                f"end row for student {student_id!r} precedes their last event",
+                field="timestamp_ms",
+                line=end_line,
+            )
+        session = new_object(StudentSession)
+        set_field(session, "student_id", student_id)
+        set_field(session, "events", tuple(events))
+        set_field(session, "session_end_ms", end)
+        sessions.append(session)
+    return sessions
+
+
+def _parse_columns(
+    text: str, spec: QuestionnaireSpec, events_by_student: dict
+) -> tuple[int, int]:
+    """Add the events of the plain slices at the start of ``text`` to
+    ``events_by_student`` and return where the row loop takes over:
+    (offset, lines before it).
+
+    A slice is taken only when it holds no ``"``, CR or NUL and no line over
+    the csv field limit, so that its csv rows are its lines split on ``,``,
+    and only when its rows pass every check, made as whole columns.
+    Otherwise nothing of it is stored.
+    """
+    event_of = {}  # (question id, event, option id) as logged -> checked fields
+    for q in spec.questions:
+        event_of[str(q.question_id), "view", ""] = (q.question_id, EventKind.VIEW, None)
+        for o in q.options:
+            event_of[str(q.question_id), "answer", o.option_id] = (
+                q.question_id, EventKind.ANSWER, o.option_id
+            )
+    header = ",".join(EVENT_CSV_HEADER)
+    if text[: len(header) + 1] not in (header, header + "\n"):
+        return 0, 0
+    line = 1
+    for start, end in _slices(text, len(header) + 1):
+        chunk = text[start:end]
+        if '"' in chunk or "\r" in chunk or "\0" in chunk or len(chunk) > csv.field_size_limit():
+            return start, line
+        rows = chunk.split("\n")
+        if not rows[-1]:
+            rows.pop()
+        if set(map(str.count, rows, repeat(","))) != {4}:
+            return start, line
+        fields = ",".join(rows).split(",")
+        student_ids = fields[0::5]
+        seen = dict.fromkeys(student_ids)
+        try:
+            checked = list(map(event_of.__getitem__, zip(fields[1::5], fields[2::5], fields[3::5])))
+            stamps = list(map(int, fields[4::5]))
+            new_ids = [s for s in seen if s not in events_by_student]
+            for student_id in new_ids:
+                _check_student_id(student_id)
+        except (KeyError, ValueError, ValidationError):
+            return start, line
+        if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
+            return start, line
+        for student_id in new_ids:
+            events_by_student[student_id] = (student_id, [])
+        id_of = {s: events_by_student[s][0] for s in seen}
+        events = map(
+            tuple.__new__, repeat(AssessmentEvent),
+            zip(map(id_of.__getitem__, student_ids), *zip(*checked), stamps),
+        )
+        for student_id, run in groupby(events, itemgetter(0)):
+            events_by_student[student_id][1].extend(run)
+        line += len(rows)
+    return len(text), line
+
+
+def _parse_rows(
+    text: str, start: int, line: int, spec: QuestionnaireSpec, events_by_student: dict
+) -> dict[str, tuple[int, int]]:
+    """Read ``text`` from ``start``, the offset of line ``line + 1`` (the
+    header when it is 0), one csv row at a time; add its events to
+    ``events_by_student`` and return each student's end row: (timestamp, line)."""
     question_by_raw_id = {
         str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
         for q in spec.questions
@@ -458,17 +563,16 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     kind_by_raw = {kind.value: kind for kind in EventKind}
     answer = EventKind.ANSWER
     new_event = tuple.__new__
-    # By student id: the id string of the student's first row, and their events.
-    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(_lines(text, start))
     try:
-        header = next(reader)
-        if tuple(header) != EVENT_CSV_HEADER:
-            raise ParseError(
-                f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
-                line=1,
-            )
+        if not start:
+            header = next(reader)
+            if tuple(header) != EVENT_CSV_HEADER:
+                raise ParseError(
+                    f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
+                    line=1,
+                )
         for row in reader:
             if not row:
                 continue
@@ -517,36 +621,17 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
                 _check_student_id(student_id)
                 student = events_by_student[student_id] = (student_id, [])
             if kind is None:
-                end_by_student[student_id] = (timestamp_ms, reader.line_num)
+                end_by_student[student_id] = (timestamp_ms, line + reader.line_num)
                 continue
             student_id, events = student
             events.append(
                 new_event(AssessmentEvent, (student_id, question_id, kind, option_id, timestamp_ms))
             )
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        raise ParseError(str(exc), line=line + reader.line_num) from None
     except (ParseError, ValidationError) as exc:
-        raise exc.locate(line=reader.line_num) from None
-
-    new_object = object.__new__
-    set_field = object.__setattr__
-    sessions = []
-    for student_id, events in events_by_student.values():
-        events.sort(key=itemgetter(4))  # timestamp_ms
-        last = events[-1].timestamp_ms if events else 0
-        end, end_line = end_by_student.get(student_id, (last, None))
-        if end < last:
-            raise ValidationError(
-                f"end row for student {student_id!r} precedes their last event",
-                field="timestamp_ms",
-                line=end_line,
-            )
-        session = new_object(StudentSession)
-        set_field(session, "student_id", student_id)
-        set_field(session, "events", tuple(events))
-        set_field(session, "session_end_ms", end)
-        sessions.append(session)
-    return sessions
+        raise exc.locate(line=line + reader.line_num) from None
+    return end_by_student
 
 
 def event_log_csv(sessions: Iterable[StudentSession]) -> str:
