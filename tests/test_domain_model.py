@@ -262,7 +262,8 @@ def test_parse_event_log_resorts_timestamps_stably():
 
 def test_parse_event_log_empty_inputs():
     spec = make_spec(n=1)
-    assert parse_event_log("", spec) == []
+    for blank in ("", " ", "\n\n", " \t\r\n\x0b", "\u3000"):
+        assert parse_event_log(blank, spec) == []
     assert parse_event_log(EVENT_HEADER + "\n", spec) == []
 
 
