@@ -83,12 +83,12 @@ class AnswerOption:
                 f"option_id must be a single lowercase letter, got {self.option_id!r}",
                 field="option_id",
             )
-        if self.ws_weight not in WS_WEIGHTS:
+        if isinstance(self.ws_weight, bool) or self.ws_weight not in WS_WEIGHTS:
             raise ValidationError(
                 f"ws_weight must be one of {WS_WEIGHTS}, got {self.ws_weight}",
                 field="ws_weight",
             )
-        if self.lu_deviation not in LU_DEVIATIONS:
+        if isinstance(self.lu_deviation, bool) or self.lu_deviation not in LU_DEVIATIONS:
             raise ValidationError(
                 f"lu_deviation must be one of {LU_DEVIATIONS}, got {self.lu_deviation}",
                 field="lu_deviation",
@@ -116,16 +116,17 @@ class QuestionSpec:
         object.__setattr__(self, "topic_ids", frozenset(self.topic_ids))
         object.__setattr__(self, "options", tuple(self.options))
         qid = self.question_id
-        if not isinstance(qid, int) or qid < 1:
+        if isinstance(qid, bool) or not isinstance(qid, int) or qid < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
         for name in ("qdi", "cdi", "tdi"):
-            if getattr(self, name) not in DIFFICULTY_INDICES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or value not in DIFFICULTY_INDICES:
                 raise ValidationError(
-                    f"{name} must be one of {DIFFICULTY_INDICES}, got {getattr(self, name)}",
+                    f"{name} must be one of {DIFFICULTY_INDICES}, got {value}",
                     field=name,
                     question_id=qid,
                 )
-        if not 0 < self.expected_time_s < math.inf:
+        if isinstance(self.expected_time_s, bool) or not 0 < self.expected_time_s < math.inf:
             raise ValidationError(
                 "expected_time_s must be positive and finite",
                 field="expected_time_s",
@@ -181,7 +182,7 @@ class QuestionnaireSpec:
                     field="question_id",
                     question_id=question.question_id,
                 )
-        if not 0 < self.max_total_time_s < math.inf:
+        if isinstance(self.max_total_time_s, bool) or not 0 < self.max_total_time_s < math.inf:
             raise ValidationError(
                 "max_total_time_s must be positive and finite", field="max_total_time_s"
             )
@@ -227,6 +228,19 @@ class QuestionnaireSpec:
         return tuple(layout)
 
     @cached_property
+    def _event_fields(self) -> dict[tuple[str, str, str], tuple[int, EventKind, str | None]]:
+        """(question id, event, option id or "") of every valid view or answer
+        row, as the log spells them -> its event's (question id, kind, option
+        id or None). Built once per spec; both event-log parse paths read it."""
+        table = {}
+        for q in self.questions:
+            qid = str(q.question_id)
+            table[qid, "view", ""] = (q.question_id, EventKind.VIEW, None)
+            for o in q.options:
+                table[qid, "answer", o.option_id] = (q.question_id, EventKind.ANSWER, o.option_id)
+        return table
+
+    @cached_property
     def subsets_of_question(self) -> tuple[tuple[int, ...], ...]:
         """Per question, the indices into ``subset_layout`` of the question
         sets that hold it, ascending. Built once per spec."""
@@ -258,16 +272,9 @@ class AssessmentEvent(_EventFields):
         timestamp_ms: int,
     ) -> AssessmentEvent:
         _check_student_id(student_id)
-        if not isinstance(question_id, int) or question_id < 1:
+        if isinstance(question_id, bool) or not isinstance(question_id, int) or question_id < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
-        if not isinstance(timestamp_ms, int) or timestamp_ms < 0:
-            raise ValidationError(
-                "timestamp_ms must be a non-negative integer", field="timestamp_ms"
-            )
-        if timestamp_ms > MAX_TIMESTAMP_MS:
-            raise ValidationError(
-                f"timestamp_ms must not exceed {MAX_TIMESTAMP_MS}", field="timestamp_ms"
-            )
+        _check_timestamp_ms(timestamp_ms, "timestamp_ms")
         if kind is EventKind.ANSWER and not option_id:
             raise ValidationError("answer events need an option_id", field="option_id")
         if kind is EventKind.VIEW and option_id is not None:
@@ -290,6 +297,14 @@ def _check_student_id(student_id: str) -> None:
         )
 
 
+def _check_timestamp_ms(value: int, field: str) -> None:
+    """A time in the log is an int, not a bool, in [0, MAX_TIMESTAMP_MS]."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{field} must be a non-negative integer", field=field)
+    if value > MAX_TIMESTAMP_MS:
+        raise ValidationError(f"{field} must not exceed {MAX_TIMESTAMP_MS}", field=field)
+
+
 @dataclass(frozen=True)
 class StudentSession:
     """All events of one student, time-ordered, plus the session end."""
@@ -300,6 +315,7 @@ class StudentSession:
 
     def __post_init__(self) -> None:
         _check_student_id(self.student_id)
+        _check_timestamp_ms(self.session_end_ms, "session_end_ms")
         object.__setattr__(self, "events", tuple(self.events))
         stamps = [e.timestamp_ms for e in self.events]
         if any(a > b for a, b in zip(stamps, stamps[1:])):
@@ -454,7 +470,10 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     then unquoted rows with LF line ends, question ids spelled as the spec
     spells them, no blank lines and no ``end`` rows), :func:`_parse_columns`
     checks each as whole columns. From the first slice that is not, the row
-    loop, :func:`_parse_rows`, reads the rest of the text. The row loop is
+    loop, :func:`_parse_rows`, reads the rest of the text. Both look up a
+    view or answer row's (question id, event, option id) in the one table
+    the spec builds of them; the row loop looks further only on a miss, for
+    another spelling of the question id or the row's error. The row loop is
     the definition: the sessions and every error (type, message, field,
     line) are the same whichever path reads a row.
     """
@@ -504,13 +523,7 @@ def _parse_columns(
     and only when its rows pass every check, made as whole columns.
     Otherwise nothing of it is stored.
     """
-    event_of = {}  # (question id, event, option id) as logged -> checked fields
-    for q in spec.questions:
-        event_of[str(q.question_id), "view", ""] = (q.question_id, EventKind.VIEW, None)
-        for o in q.options:
-            event_of[str(q.question_id), "answer", o.option_id] = (
-                q.question_id, EventKind.ANSWER, o.option_id
-            )
+    event_of = spec._event_fields
     header = ",".join(EVENT_CSV_HEADER)
     if text[: len(header) + 1] not in (header, header + "\n"):
         return 0, 0
@@ -556,12 +569,7 @@ def _parse_rows(
     """Read ``text`` from ``start``, the offset of line ``line + 1`` (the
     header when it is 0), one csv row at a time; add its events to
     ``events_by_student`` and return each student's end row: (timestamp, line)."""
-    question_by_raw_id = {
-        str(q.question_id): (q.question_id, frozenset(o.option_id for o in q.options))
-        for q in spec.questions
-    }
-    kind_by_raw = {kind.value: kind for kind in EventKind}
-    answer = EventKind.ANSWER
+    event_fields = spec._event_fields
     new_event = tuple.__new__
     end_by_student: dict[str, tuple[int, int]] = {}
     reader = csv.reader(_lines(text, start))
@@ -585,33 +593,28 @@ def _parse_rows(
             if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
                 reason = "be non-negative" if timestamp_ms < 0 else f"not exceed {MAX_TIMESTAMP_MS}"
                 raise ValidationError(f"timestamp_ms must {reason}", field="timestamp_ms")
-            kind = kind_by_raw.get(raw_event)
-            if kind is not None:
-                question = question_by_raw_id.get(raw_qid)
-                if question is None:
-                    # Spellings such as " 3", "03" or "+3" still name question 3.
-                    question_id = _parse_int(raw_qid, "question_id")
-                    spec.question(question_id)
-                    question = question_by_raw_id[str(question_id)]
-                question_id, option_ids = question
-                option_id = None
-                if kind is answer:
-                    if raw_option not in option_ids:
+            fields = event_fields.get((raw_qid, raw_event, raw_option))
+            if fields is None and raw_event != "end":  # the row's error, or another id spelling
+                if raw_event not in ("view", "answer"):
+                    raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
+                # Spellings such as " 3", "03" or "+3" still name question 3.
+                question_id = _parse_int(raw_qid, "question_id")
+                fields = event_fields.get((str(question_id), raw_event, raw_option))
+                if fields is None:
+                    spec.question(question_id)  # a question the spec lacks is reported first
+                    if raw_event == "view":
                         raise ValidationError(
-                            f"unknown option_id {raw_option!r}",
-                            field="option_id",
-                            question_id=question_id,
+                            "view rows must leave option_id empty", field="option_id"
                         )
-                    option_id = raw_option
-                elif raw_option:
-                    raise ValidationError("view rows must leave option_id empty", field="option_id")
-            elif raw_event != "end":
-                raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
-            elif raw_qid or raw_option:
+                    raise ValidationError(
+                        f"unknown option_id {raw_option!r}", field="option_id",
+                        question_id=question_id,
+                    )
+            elif fields is None and (raw_qid or raw_option):
                 raise ValidationError(
                     "end rows must leave question_id and option_id empty", field="event"
                 )
-            elif student_id in end_by_student:
+            elif fields is None and student_id in end_by_student:
                 raise ValidationError(
                     f"duplicate end row for student {student_id!r}", field="event"
                 )
@@ -620,10 +623,11 @@ def _parse_rows(
             if student is None:
                 _check_student_id(student_id)
                 student = events_by_student[student_id] = (student_id, [])
-            if kind is None:
+            if fields is None:  # an end row
                 end_by_student[student_id] = (timestamp_ms, line + reader.line_num)
                 continue
             student_id, events = student
+            question_id, kind, option_id = fields
             events.append(
                 new_event(AssessmentEvent, (student_id, question_id, kind, option_id, timestamp_ms))
             )

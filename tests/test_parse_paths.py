@@ -35,8 +35,11 @@ def _set(index, change):
     return spell
 
 
-# Spellings the row loop reads and the column path must leave to it; each
-# changes the fields of one row in place.
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+# Spellings the row loop reads and the column path must leave to it, and
+# other spellings that Python's int() reads; each changes the fields of one
+# row in place.
 SPELLINGS = {
     "quoted-id": _set(0, lambda f: f'"{f}"'),
     "quoted-newline": _set(1, lambda f: f'"{f}\n"'),  # int("3\n") is 3
@@ -46,6 +49,8 @@ SPELLINGS = {
     "underscore-question": _set(1, lambda f: f"0_{f}"),
     "padded-timestamp": _set(4, lambda f: f" {f}"),
     "underscore-timestamp": _set(4, lambda f: f"{f[0]}_{f[1:]}" if len(f) > 1 else f),
+    "arabic-indic-question": _set(1, lambda f: f.translate(ARABIC_INDIC)),
+    "arabic-indic-timestamp": _set(4, lambda f: f.translate(ARABIC_INDIC)),
     "nul": _set(0, lambda f: f"{f}\0"),
     "long-field": _set(4, lambda f: f.zfill(40)),
     "crlf": _set(4, lambda f: f"{f}\r"),

@@ -20,6 +20,7 @@ from edumetrics import (
     QuestionnaireSpec,
     SimulationError,
     SplitMix64,
+    StudentSession,
     ValidationError,
     approval_split,
     build_grouping,
@@ -76,6 +77,19 @@ CASES = [
                  id="option-deviation"),
     pytest.param(lambda: replace(QUESTION, question_id=0), ValidationError, "question_id", None,
                  id="question-id"),
+    # Booleans are ints, but serialize_questionnaire would write them as true/false.
+    pytest.param(lambda: AnswerOption("a", True, 5), ValidationError, "ws_weight", None,
+                 id="option-weight-boolean"),
+    pytest.param(lambda: AnswerOption("e", 0, False), ValidationError, "lu_deviation", None,
+                 id="option-deviation-boolean"),
+    pytest.param(lambda: replace(QUESTION, question_id=True), ValidationError, "question_id", None,
+                 id="question-id-boolean"),
+    pytest.param(lambda: replace(QUESTION, qdi=True), ValidationError, "qdi", None,
+                 id="question-qdi-boolean"),
+    pytest.param(lambda: replace(QUESTION, expected_time_s=True), ValidationError,
+                 "expected_time_s", None, id="question-expected-time-boolean"),
+    pytest.param(lambda: QuestionnaireSpec("q", (QUESTION,), True), ValidationError,
+                 "max_total_time_s", None, id="questionnaire-time-boolean"),
     pytest.param(lambda: replace(QUESTION, options=()), ValidationError, "options", None,
                  id="question-without-options"),
     pytest.param(lambda: replace(QUESTION, options=(make_option("a", 4), make_option("a", 0))),
@@ -90,6 +104,18 @@ CASES = [
                  id="event-question-id"),
     pytest.param(lambda: event(timestamp_ms=-1), ValidationError, "timestamp_ms", None,
                  id="event-timestamp"),
+    # event_log_csv would write this event as "s1,True,view,,False".
+    pytest.param(lambda: AssessmentEvent("s1", True, EventKind.VIEW, None, False), ValidationError,
+                 "question_id", None, id="event-question-boolean"),
+    pytest.param(lambda: event(timestamp_ms=False), ValidationError, "timestamp_ms", None,
+                 id="event-timestamp-boolean"),
+    # event_log_csv would write these session ends as end rows that parse_event_log rejects.
+    pytest.param(lambda: StudentSession("s1", (), 2**70), ValidationError, "session_end_ms", None,
+                 id="session-end-too-large"),
+    pytest.param(lambda: StudentSession("s1", (), 1.5), ValidationError, "session_end_ms", None,
+                 id="session-end-not-integer"),
+    pytest.param(lambda: StudentSession("s1", (), True), ValidationError, "session_end_ms", None,
+                 id="session-end-boolean"),
     pytest.param(lambda: event(kind=EventKind.ANSWER), ValidationError, "option_id", None,
                  id="event-answer-without-option"),
     pytest.param(lambda: event(option_id="a"), ValidationError, "option_id", None,
