@@ -38,13 +38,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_IO = 2
 
-_SRT_MODES = {
-    "auto": None,
-    "view": SrtMode.VIEW_INTERVALS,
-    "answer": SrtMode.ANSWER_INTERVALS,
-}
-
-
 def _write_text(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # A fresh name opened exclusively, as open() creates files: the umask sets the mode.
@@ -99,7 +92,7 @@ def _compute(args: argparse.Namespace) -> None:
 
     spec = _load(args.spec, parse_questionnaire, allow_any_option_count=args.allow_any_option_count)
     sessions = _load(args.events, parse_event_log, spec)
-    srt_mode = _SRT_MODES[args.srt_mode] or pick_log_srt_mode(sessions)
+    srt_mode = pick_log_srt_mode(sessions) if args.srt_mode == "auto" else SrtMode(args.srt_mode)
     reports = [compute_student(s, spec, srt_mode, args.threshold) for s in sessions]
     # Nothing after compute_student reads the sessions: the class reduce and
     # the renders need not hold them.
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--events", required=True, help="event CSV file")
     compute.add_argument(
         "--srt-mode",
-        choices=tuple(_SRT_MODES),
+        choices=("auto", *(mode.value for mode in SrtMode)),
         default="auto",
         help="time attribution; auto uses view intervals when the log has view events",
     )

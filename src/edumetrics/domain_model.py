@@ -78,11 +78,7 @@ class AnswerOption:
     lu_deviation: int
 
     def __post_init__(self) -> None:
-        if not (len(self.option_id) == 1 and "a" <= self.option_id <= "z"):
-            raise ValidationError(
-                f"option_id must be a single lowercase letter, got {self.option_id!r}",
-                field="option_id",
-            )
+        _check_option_id(self.option_id)
         if isinstance(self.ws_weight, bool) or self.ws_weight not in WS_WEIGHTS:
             raise ValidationError(
                 f"ws_weight must be one of {WS_WEIGHTS}, got {self.ws_weight}",
@@ -275,9 +271,13 @@ class AssessmentEvent(_EventFields):
         if isinstance(question_id, bool) or not isinstance(question_id, int) or question_id < 1:
             raise ValidationError("question_id must be a positive integer", field="question_id")
         _check_timestamp_ms(timestamp_ms, "timestamp_ms")
+        if not isinstance(kind, EventKind):
+            raise ValidationError(f"kind must be an EventKind, got {kind!r}", field="kind")
         if kind is EventKind.ANSWER and not option_id:
             raise ValidationError("answer events need an option_id", field="option_id")
-        if kind is EventKind.VIEW and option_id is not None:
+        if kind is EventKind.ANSWER:
+            _check_option_id(option_id)
+        elif option_id is not None:
             raise ValidationError("view events must not carry an option_id", field="option_id")
         return tuple.__new__(cls, (student_id, question_id, kind, option_id, timestamp_ms))
 
@@ -294,6 +294,14 @@ def _check_student_id(student_id: str) -> None:
         raise ValidationError(
             f"student_id {student_id!r} contains characters the log format reserves",
             field="student_id",
+        )
+
+
+def _check_option_id(option_id: str) -> None:
+    """An option id is a single lowercase letter."""
+    if not (isinstance(option_id, str) and len(option_id) == 1 and "a" <= option_id <= "z"):
+        raise ValidationError(
+            f"option_id must be a single lowercase letter, got {option_id!r}", field="option_id"
         )
 
 
@@ -449,11 +457,12 @@ def _slices(text: str, start: int = 0) -> Iterator[tuple[int, int]]:
         start = end
 
 
-def _lines(text: str, start: int = 0) -> Iterator[str]:
-    """The lines of ``io.StringIO(text[start:])``, read slice by slice, so
-    that no copy of the whole text is made."""
-    for start, end in _slices(text, start):
-        yield from io.StringIO(text[start:end])
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``io.StringIO(text, newline=None)``, read slice by slice,
+    so that no copy of the whole text is made (slices end at LF only). As in
+    a file opened in text mode, a lone CR or a CRLF ends a line, read as LF."""
+    for start, end in _slices(text):
+        yield from io.StringIO(text[start:end], newline=None)
 
 
 def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
@@ -466,16 +475,16 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     as one with a field over its size limit, raises a located ParseError.
     Every event of a student holds the one id string of their session.
 
-    The log is read in slices. While the slices are plain (the exact header,
-    then unquoted rows with LF line ends, question ids spelled as the spec
-    spells them, no blank lines and no ``end`` rows), :func:`_parse_columns`
-    checks each as whole columns. From the first slice that is not, the row
-    loop, :func:`_parse_rows`, reads the rest of the text. Both look up a
-    view or answer row's (question id, event, option id) in the one table
-    the spec builds of them; the row loop looks further only on a miss, for
-    another spelling of the question id or the row's error. The row loop is
-    the definition: the sessions and every error (type, message, field,
-    line) are the same whichever path reads a row.
+    The path is chosen once per log. A plain log (the exact header, then
+    unquoted rows with LF line ends, question ids spelled as the spec spells
+    them and no ``end`` rows) is checked as whole columns, slice by slice,
+    by :func:`_parse_columns`. Any other log, and a plain one with a row
+    that fails a check, is read from its header by the row loop,
+    :func:`_parse_rows`. Both look up a view or answer row's (question id,
+    event, option id) in the one table the spec builds of them; the row
+    loop looks further only on a miss, for another spelling of the question
+    id or the row's error. The row loop is the definition: the sessions are
+    the same whichever path reads a log, and every error comes from it.
     """
     if not text or text.isspace():
         return []
@@ -483,12 +492,10 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     # per student) and of StudentSession.__post_init__ (the same id rule, events
     # sorted and grouped by student id, the end against the last event), so
     # both are built with the bare tuple and object constructors.
-    # By student id: the id string of the student's first row, and their events.
-    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
-    start, line = _parse_columns(text, spec, events_by_student)
+    events_by_student = _parse_columns(text, spec)
     end_by_student = {}
-    if start < len(text):
-        end_by_student = _parse_rows(text, start, line, spec, events_by_student)
+    if events_by_student is None:
+        events_by_student, end_by_student = _parse_rows(text, spec)
 
     new_object = object.__new__
     set_field = object.__setattr__
@@ -511,32 +518,29 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     return sessions
 
 
-def _parse_columns(
-    text: str, spec: QuestionnaireSpec, events_by_student: dict
-) -> tuple[int, int]:
-    """Add the events of the plain slices at the start of ``text`` to
-    ``events_by_student`` and return where the row loop takes over:
-    (offset, lines before it).
+def _parse_columns(text: str, spec: QuestionnaireSpec) -> dict | None:
+    """The events of a plain log, by student id: (the id string of the
+    student's first row, their events). None for any other log.
 
-    A slice is taken only when it holds no ``"``, CR or NUL and no line over
-    the csv field limit, so that its csv rows are its lines split on ``,``,
-    and only when its rows pass every check, made as whole columns.
-    Otherwise nothing of it is stored.
+    A log is taken only when it holds no ``"``, CR or NUL and no slice over
+    the csv field limit, so that its csv rows are its non-blank lines split
+    on ``,``, and only when its rows pass every check, made as whole columns
+    per slice.
     """
     event_of = spec._event_fields
     header = ",".join(EVENT_CSV_HEADER)
     if text[: len(header) + 1] not in (header, header + "\n"):
-        return 0, 0
-    line = 1
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     for start, end in _slices(text, len(header) + 1):
         chunk = text[start:end]
-        if '"' in chunk or "\r" in chunk or "\0" in chunk or len(chunk) > csv.field_size_limit():
-            return start, line
-        rows = chunk.split("\n")
-        if not rows[-1]:
-            rows.pop()
-        if set(map(str.count, rows, repeat(","))) != {4}:
-            return start, line
+        rows = list(filter(None, chunk.split("\n")))
+        if not rows:
+            continue
+        if len(chunk) > csv.field_size_limit() or set(map(str.count, rows, repeat(","))) != {4}:
+            return None
         fields = ",".join(rows).split(",")
         student_ids = fields[0::5]
         seen = dict.fromkeys(student_ids)
@@ -547,9 +551,9 @@ def _parse_columns(
             for student_id in new_ids:
                 _check_student_id(student_id)
         except (KeyError, ValueError, ValidationError):
-            return start, line
+            return None
         if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
-            return start, line
+            return None
         for student_id in new_ids:
             events_by_student[student_id] = (student_id, [])
         id_of = {s: events_by_student[s][0] for s in seen}
@@ -559,28 +563,25 @@ def _parse_columns(
         )
         for student_id, run in groupby(events, itemgetter(0)):
             events_by_student[student_id][1].extend(run)
-        line += len(rows)
-    return len(text), line
+    return events_by_student
 
 
-def _parse_rows(
-    text: str, start: int, line: int, spec: QuestionnaireSpec, events_by_student: dict
-) -> dict[str, tuple[int, int]]:
-    """Read ``text`` from ``start``, the offset of line ``line + 1`` (the
-    header when it is 0), one csv row at a time; add its events to
-    ``events_by_student`` and return each student's end row: (timestamp, line)."""
+def _parse_rows(text: str, spec: QuestionnaireSpec) -> tuple[dict, dict[str, tuple[int, int]]]:
+    """Read ``text`` one csv row at a time, from its header. Return its
+    events by student id, as :func:`_parse_columns` does, and each
+    student's end row: (timestamp, line)."""
     event_fields = spec._event_fields
     new_event = tuple.__new__
+    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
-    reader = csv.reader(_lines(text, start))
+    reader = csv.reader(_lines(text))
     try:
-        if not start:
-            header = next(reader)
-            if tuple(header) != EVENT_CSV_HEADER:
-                raise ParseError(
-                    f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
-                    line=1,
-                )
+        header = next(reader)
+        if tuple(header) != EVENT_CSV_HEADER:
+            raise ParseError(
+                f"unexpected header {','.join(header)!r}, want {','.join(EVENT_CSV_HEADER)!r}",
+                line=1,
+            )
         for row in reader:
             if not row:
                 continue
@@ -624,7 +625,7 @@ def _parse_rows(
                 _check_student_id(student_id)
                 student = events_by_student[student_id] = (student_id, [])
             if fields is None:  # an end row
-                end_by_student[student_id] = (timestamp_ms, line + reader.line_num)
+                end_by_student[student_id] = (timestamp_ms, reader.line_num)
                 continue
             student_id, events = student
             question_id, kind, option_id = fields
@@ -632,10 +633,10 @@ def _parse_rows(
                 new_event(AssessmentEvent, (student_id, question_id, kind, option_id, timestamp_ms))
             )
     except csv.Error as exc:
-        raise ParseError(str(exc), line=line + reader.line_num) from None
+        raise ParseError(str(exc), line=reader.line_num) from None
     except (ParseError, ValidationError) as exc:
-        raise exc.locate(line=line + reader.line_num) from None
-    return end_by_student
+        raise exc.locate(line=reader.line_num) from None
+    return events_by_student, end_by_student
 
 
 def event_log_csv(sessions: Iterable[StudentSession]) -> str:

@@ -24,7 +24,7 @@ from math import floor
 from typing import Sequence
 
 from .domain_model import (
-    FAST_FRACTION, AnswerOption, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession,
+    FAST_FRACTION, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession,
 )
 from .errors import DomainError, SimulationError
 
@@ -157,10 +157,6 @@ def _draw_srt_ms(rng: SplitMix64, fractions: tuple[float, float], expected_time_
     return rng.randint(lo_ms, hi_ms)
 
 
-def _wrong_options(options: Sequence[AnswerOption]) -> list[AnswerOption]:
-    return [o for o in options if not o.is_correct]
-
-
 def simulate_student(
     profile: BehaviorProfile,
     spec: QuestionnaireSpec,
@@ -189,39 +185,23 @@ def simulate_student(
 
     events: list[AssessmentEvent] = []
     cursor = 0
-
-    def add(kind: EventKind, question_id: int, option_id: str | None, ts: int) -> None:
-        events.append(
-            AssessmentEvent(
-                student_id=student_id,
-                question_id=question_id,
-                kind=kind,
-                option_id=option_id,
-                timestamp_ms=ts,
-            )
-        )
-
     for qid in order:
         question = spec.question(qid)
         srt_ms = _draw_srt_ms(rng, fractions, question.expected_time_s)
-        add(EventKind.VIEW, qid, None, cursor)
+        events.append(AssessmentEvent(student_id, qid, EventKind.VIEW, None, cursor))
+        final = question.correct_option.option_id
         if profile.kind is BehaviorKind.GUESSER:
-            picked = rng.choice(question.options)
-            add(EventKind.ANSWER, qid, picked.option_id, cursor + srt_ms)
+            final = rng.choice(question.options).option_id
         elif profile.kind is BehaviorKind.SELF_CORRECTOR:
             if profile.markings_per_question is not None:
                 marks = profile.markings_per_question[qid - 1]
             else:
                 marks = rng.randint(*profile.markings_range)
-            wrong = _wrong_options(question.options)
-            for step in range(1, marks + 1):
-                ts = cursor + round(srt_ms * step / marks)
-                if step < marks:
-                    add(EventKind.ANSWER, qid, rng.choice(wrong).option_id, ts)
-                else:
-                    add(EventKind.ANSWER, qid, question.correct_option.option_id, ts)
-        else:
-            add(EventKind.ANSWER, qid, question.correct_option.option_id, cursor + srt_ms)
+            wrong = [o.option_id for o in question.options if not o.is_correct]
+            for step in range(1, marks):
+                option_id, ts = rng.choice(wrong), cursor + round(srt_ms * step / marks)
+                events.append(AssessmentEvent(student_id, qid, EventKind.ANSWER, option_id, ts))
+        events.append(AssessmentEvent(student_id, qid, EventKind.ANSWER, final, cursor + srt_ms))
         cursor += srt_ms
 
     if cursor > spec.max_total_time_s * 1000.0:

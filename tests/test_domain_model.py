@@ -423,6 +423,17 @@ def test_unreadable_csv_row_is_a_located_parse_error(text, line):
     assert err.value.line == line
 
 
+def test_cr_only_log_parses_as_its_lf_copy():
+    # As edumetrics compute reads the file: universal newlines turn each lone CR into LF.
+    text = event_csv(["s1,1,view,,0", "s1,1,answer,a,38000", "s2,1,answer,b,5", "s2,,end,,9000"])
+    sessions = parse_event_log(text.replace("\n", "\r"), make_spec(n=1))
+    assert len(sessions) == 2 and sessions == parse_event_log(text, make_spec(n=1))
+    with pytest.raises(ValidationError) as err:
+        parse_event_log(event_csv(["s1,1,view,,0", "s1,2,view,,5"]).replace("\n", "\r"),
+                        make_spec(n=1))
+    assert err.value.line == 3
+
+
 RESERVED_IDS = [("a,b", '"a,b"', 2), ('a"b', '"a""b"', 2), ("a\nb", '"a\nb"', 3)]
 
 

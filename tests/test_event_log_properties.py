@@ -97,4 +97,4 @@ def test_event_log_round_trip(sessions, data):
 def test_chunked_lines_equal_the_lines_of_one_stringio(text, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
-        assert list(domain_model._lines(text)) == list(io.StringIO(text))
+        assert list(domain_model._lines(text)) == list(io.StringIO(text, newline=None))

@@ -1,7 +1,7 @@
-"""``parse_event_log`` reads plain slices of a log as whole columns and hands
-the rest to its row loop. These tests pin that the two paths cannot be told
-apart, that the simulator's logs stay on the column path, and that the
-empty-log check copies nothing."""
+"""``parse_event_log`` reads a plain log as whole columns and any other log
+with its row loop. These tests pin that the two paths cannot be told apart,
+that the simulator's logs stay on the column path, and that the empty-log
+check copies nothing."""
 
 import csv
 import tracemalloc
@@ -64,7 +64,7 @@ HEADER = ",".join(domain_model.EVENT_CSV_HEADER)
 @st.composite
 def texts(draw):
     """An event log with spellings at random rows, and maybe one fault in its
-    second half, so that the column path can take slices before it."""
+    second half, so that the column path reads slices before it."""
     header, *rows = event_log_csv(draw(sessions_of())).splitlines()
     rows = [row.split(",") for row in rows]
     for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
@@ -84,9 +84,9 @@ def texts(draw):
     return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
-def rows_only(text, spec, students):
+def rows_only(text, spec):
     """A column path that hands the whole log to the row loop."""
-    return 0, 0
+    return None
 
 
 def outcome(text):
@@ -169,21 +169,28 @@ WIDE_SPEC = make_spec([
 
 
 @pytest.mark.parametrize(
-    "spec, views, markings_range, profiles",
+    "spec, views, markings_range, profiles, blank_lines",
     [
-        (make_spec(n=40), True, (2, 5), PROFILES),
-        (WIDE_SPEC, True, (2, 5), PROFILES),
-        (make_spec(n=40), False, (8, 16), ["self-corrector"]),
+        (make_spec(n=40), True, (2, 5), PROFILES, False),
+        (WIDE_SPEC, True, (2, 5), PROFILES, False),
+        (make_spec(n=40), False, (8, 16), ["self-corrector"], False),
+        (make_spec(n=40), True, (2, 5), PROFILES, True),
     ],
-    ids=["four-profiles-with-views", "many-topics-with-views", "self-correctors-without-views"],
+    ids=[
+        "four-profiles-with-views", "many-topics-with-views", "self-correctors-without-views",
+        "four-profiles-with-blank-lines",
+    ],
 )
 def test_simulated_logs_parse_whole_on_the_column_path(
-    spec, views, markings_range, profiles, monkeypatch
+    spec, views, markings_range, profiles, blank_lines, monkeypatch
 ):
     # Shaped like the benchmark's cohort, topic-dense and long-logs logs. The
     # simulator ends each session at its last event, so no log has end rows.
     sessions = _class(profiles, spec, views, markings_range=markings_range)
     text = event_log_csv(sessions)
+    if blank_lines:  # skipped, as the row loop skips them
+        header, rows = text.split("\n", 1)
+        text = f"{header}\n\n{rows}\n"
     assert ",end," not in text and len(text) > 8 * domain_model._CHUNK_CHARS
     monkeypatch.setattr(domain_model, "_parse_rows", _rows_refused)
     assert parse_event_log(text, spec) == sessions
@@ -198,7 +205,7 @@ def test_the_empty_log_check_copies_nothing(monkeypatch):
     text = " " * 4 + text * (1_000_000 // len(text) + 1)
     assert len(text) >= 1_000_000
 
-    def stop(text, spec, students):
+    def stop(text, spec):
         raise _Checked(tracemalloc.get_traced_memory()[1])
 
     monkeypatch.setattr(domain_model, "_parse_columns", stop)

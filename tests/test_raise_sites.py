@@ -120,6 +120,11 @@ CASES = [
                  id="event-answer-without-option"),
     pytest.param(lambda: event(option_id="a"), ValidationError, "option_id", None,
                  id="event-view-with-option"),
+    # event_log_csv cannot write the first, and writes the second as a row parse_event_log rejects.
+    pytest.param(lambda: AssessmentEvent("s1", 1, "view", None, 5), ValidationError, "kind", None,
+                 id="event-kind-not-enum"),
+    pytest.param(lambda: AssessmentEvent("s1", 1, EventKind.ANSWER, "a,b", 5), ValidationError,
+                 "option_id", None, id="event-option-not-a-letter"),
     pytest.param(lambda: spec_with_topics(["1"]), ValidationError, "topic_ids", None,
                  id="spec-topic-not-integer"),
     pytest.param(lambda: spec_with_topics([True]), ValidationError, "topic_ids", None,
