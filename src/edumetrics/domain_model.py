@@ -450,17 +450,20 @@ def _parse_int(raw: str, field: str) -> int:
 
 def _slices(text: str, start: int = 0) -> Iterator[tuple[int, int]]:
     """(start, end) of the slices of ``text[start:]``: about ``_CHUNK_CHARS``
-    characters each, each cut just after a ``\\n``."""
+    characters each, each cut just after a line end: an LF, or a CR that no
+    LF follows, searched for only up to that LF."""
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        # A CR at end - 2 may open a CRLF; one before it is followed by no LF.
+        end = text.find("\r", start + _CHUNK_CHARS - 1, max(end - 2, 0)) + 1 or end
         yield start, end
         start = end
 
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of ``io.StringIO(text, newline=None)``, read slice by slice,
-    so that no copy of the whole text is made (slices end at LF only). As in
-    a file opened in text mode, a lone CR or a CRLF ends a line, read as LF."""
+    so that no copy of the whole text is made. As in a file opened in text
+    mode, a lone CR or a CRLF ends a line, read as LF."""
     for start, end in _slices(text):
         yield from io.StringIO(text[start:end], newline=None)
 

@@ -126,9 +126,10 @@ def compute_student(
 
     Each per-question fact is computed once (qcl branch for branch as in
     :func:`question_comprehension_level`); each row of ``spec.subset_layout``
-    sums them in the subset's order, as the metric definitions do. One walk
-    of the answer sequence, one step per run of answers to one question,
-    counts every subset's transitions for disorder.
+    sums them in the subset's order, as the metric definitions do. A subset's
+    answers make one transition fewer than its markings, all in order inside
+    a run of answers to one question, so one walk of the runs' heads counts
+    only the step-downs for disorder (answers after one to a larger id).
     Difficulty indices and expected times are checked once per spec, when it
     is built; answer weights when each ``AnswerOption`` is; ad, ts and ws per
     subset. Times need no check: a ``StudentSession`` keeps its events in time
@@ -155,21 +156,16 @@ def compute_student(
             question.question_id, response.markings, question_doubt(response), w, srt_s, level
         ))
 
-    # Per subset: last question id answered (0: none), transitions, in-order ones.
+    # Per subset: last question id answered (0: none) and step-downs.
     layout, holders = spec.subset_layout, spec.subsets_of_question
-    last, steps, in_order = [0] * len(layout), [0] * len(layout), [0] * len(layout)
-    # A run of r answers to question q gives every subset holding q r - 1
-    # transitions, all in order, plus one from the subset's previous answer.
-    for qid, run in groupby(sequence.entries, _ENTRY_QUESTION_ID):
-        repeats = len(list(run)) - 1
-        for index in holders[qid - 1]:
-            previous = last[index]
-            steps[index] += repeats + (previous > 0)
-            in_order[index] += repeats + (0 < previous <= qid)
-            last[index] = qid
+    last, descents = [0] * len(layout), [0] * len(layout)
+    for qid, _ in groupby(map(_ENTRY_QUESTION_ID, sequence.entries)):
+        for i in holders[qid - 1]:
+            descents[i] += last[i] > qid
+            last[i] = qid
 
     subset_rows = []
-    for (scope, element, qids), ordered, total_steps in zip(layout, in_order, steps):
+    for (scope, element, qids), steps_down in zip(layout, descents):
         count = len(qids)
         _, markings, _, weights, srts, qcls = zip(*[rows[q] for q in qids])
         hits = weights.count(CORRECT_WEIGHT)  # only a correct final answer weighs 4
@@ -177,10 +173,11 @@ def compute_student(
         ts = 10.0 * hits / count
         ws = 10.0 * sum(weights) / (4 * count)
         ad = hits / total_markings if total_markings else 0.0
+        transitions = max(total_markings - 1, 0)
         subset_rows.append(SubsetRow(
             scope, element, ts, ws, ad,
             math.fsum(srts),  # srt_s
-            transition_entropy(ordered, total_steps - ordered),  # disorder
+            transition_entropy(transitions - steps_down, steps_down),  # disorder
             questionnaire_comprehension_level(qcls, ad, count),  # qucl
             priority(ts, ws),
         ))

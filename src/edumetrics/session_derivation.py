@@ -114,7 +114,9 @@ def derive_responses(
     option. Accumulated time follows ``srt_mode``; ``None`` resolves the
     mode per session (see :func:`pick_srt_mode`). To give every student
     of a log the same mode, as ``edumetrics compute`` does, pass
-    :func:`pick_log_srt_mode` of all its sessions.
+    :func:`pick_log_srt_mode` of all its sessions. A session that names a
+    question the spec lacks, in an event the mode reads, raises
+    ``DomainError``; a view in answer mode is read by no metric.
     """
     mode = srt_mode or pick_srt_mode(session)
     events = session.events
@@ -144,6 +146,9 @@ def derive_responses(
             final_option_id[qid] = option_id
             srt_ms[qid] = srt_ms.get(qid, 0) + ts - since
             since = ts
+    # srt_ms has a key for every question id the mode reads.
+    if (unknown := max(srt_ms, default=0)) > spec.question_count:
+        raise DomainError(f"question {unknown} is not in the spec")
 
     responses = {}
     for question in spec.questions:

@@ -573,12 +573,15 @@ def test_parsed_events_share_their_session_id_string():
         assert all(event.student_id is session.student_id for event in session.events)
 
 
-def test_parse_memory_is_bounded_by_the_sessions():
+@pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "cr"])
+def test_parse_memory_is_bounded_by_the_sessions(line_end):
     # North star: memory is bounded by what the class needs, not by the size of
     # the log. The parse holds no copy of the whole text, and each event holds
-    # its student's one id string.
+    # its student's one id string. The LF log takes the column path; its
+    # CR-only copy takes the row loop, whose slices must end at lone CRs.
     spec = make_spec(n=40)
     text = event_log_csv(simulate_class(profile_from_name("self-corrector", 5), spec, 220))
+    text = text.replace("\n", line_end)
     assert len(text) >= 1_000_000
     tracemalloc.start()
     try:

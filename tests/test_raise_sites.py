@@ -20,12 +20,14 @@ from edumetrics import (
     QuestionnaireSpec,
     SimulationError,
     SplitMix64,
+    SrtMode,
     StudentSession,
     ValidationError,
     approval_split,
     build_grouping,
     classify_quadrant,
     classify_response_time,
+    derive_responses,
     effective_comprehension_level,
     max_comprehension_level,
     parse_event_log,
@@ -35,6 +37,7 @@ from edumetrics import (
     simulate_student,
     traditional_score,
 )
+from edumetrics.reporting import compute_student
 from helpers import make_option, make_question, make_spec
 
 QUESTION = make_question(1, subject="Maths", topics=(1,))
@@ -48,6 +51,15 @@ def event(**over):
         student_id="s1", question_id=1, kind=EventKind.VIEW, option_id=None, timestamp_ms=0
     )
     return AssessmentEvent(**{**fields, **over})
+
+
+def session(**over):
+    """A session of one event, ``event(**over)``."""
+    return StudentSession("s1", (event(**over),), 0)
+
+
+def answer_9():
+    return session(question_id=9, kind=EventKind.ANSWER, option_id="a")
 
 
 def comprehension(**over):
@@ -202,6 +214,14 @@ CASES = [
                  id="response-srt-negative"),
     pytest.param(lambda: QuestionResponse(1, 0, None, float("inf")), DomainError, None, None,
                  id="response-srt-infinite"),
+    # Question 9 of the one-question SPEC, in an event the mode reads.
+    pytest.param(lambda: derive_responses(session(question_id=9), SPEC, SrtMode.VIEW_INTERVALS),
+                 DomainError, None, None, id="derive-view-unknown-question"),
+    pytest.param(lambda: derive_responses(answer_9(), SPEC, SrtMode.ANSWER_INTERVALS),
+                 DomainError, None, None, id="derive-answer-unknown-question"),
+    # reporting
+    pytest.param(lambda: compute_student(answer_9(), SPEC), DomainError, None, None,
+                 id="compute-unknown-question"),
 ]
 
 

@@ -62,6 +62,57 @@ ANSWER_MODE_DIGESTS = {
     "class.json": "f900421038b470ab1d7bdba10b02aabfcfdcc0a7cdda2445c7809dba744c1e0e",
 }
 
+# A hand-written log for `_overlapping_spec` on which the srt modes differ.
+# Every first answer follows a view with dwell time. s1 goes back from
+# question 5 to 2 and from 9 to 1 and answers them again: step-downs in the
+# questionnaire, Algebra and topics 1, 2, 4 and 5. s1 and s2 end with an end
+# row after their last answer; s3 views question 7 and never answers it.
+VIEW_LOG = """\
+student_id,question_id,event,option_id,timestamp_ms
+s1,1,view,,0
+s1,1,answer,b,42000
+s1,2,view,,43000
+s1,2,answer,a,80000
+s1,5,view,,81000
+s1,5,answer,c,140000
+s1,2,view,,141000
+s1,2,answer,b,160000
+s1,9,view,,161000
+s1,9,answer,a,230000
+s1,1,view,,231000
+s1,1,answer,a,250000
+s1,,end,,300000
+s2,3,view,,1000
+s2,3,answer,a,65000
+s2,3,answer,b,71000
+s2,4,view,,72000
+s2,4,answer,c,100000
+s2,6,view,,102000
+s2,6,answer,b,170000
+s2,12,view,,171000
+s2,12,answer,e,260000
+s2,,end,,320000
+s3,7,view,,0
+s3,8,view,,30000
+s3,8,answer,d,95000
+s3,10,view,,96000
+s3,10,answer,a,150000
+s3,11,view,,152000
+s3,11,answer,b,200000
+"""
+
+# The same for `compute --srt-mode view --format csv` on VIEW_LOG, recorded
+# from the implementation that counted every subset's in-order transitions.
+VIEW_MODE_DIGESTS = {
+    "students.json": "66644a1b44e718f5e997bbf5e28f48017ecd9d495a5cca0f4a0558c56913cf74",
+    "class.json": "e201f4b63e3b98c7bbf97ea864609427d19c5cf6268f61ba6865abd5a94890b5",
+    "students.csv": "4030a09fba94ebeb06f6fd98aeb1eee894b91bac64b444781c1fac5fcbd83ec7",
+    "questions.csv": "034605a6467623f78326c11f4b4724fcd92caeb8969470c8b4a88966e6c4e2b8",
+    "plotdata/groups_histogram.csv": "46bbace5117638dbb89e96380b470fa5b79f1bbe47a282de102dcad16e669fa1",
+    "plotdata/ad_vs_qucl.csv": "8ce964479f42bfccf9d49a4076ff068ac8ce6c624db5ab98e029f1bd8858efec",
+    "plotdata/subject_srt.csv": "1c1a2f741f5af2e2dc5a8bba51a5893ef6bc400aa2343a6d2d220a17e6056367",
+}
+
 
 def _overlapping_spec():
     """12 questions over 3 subjects; each question sits in 3 of 5 topics."""
@@ -114,8 +165,12 @@ def _write_inputs(tmp_path):
     return spec_path, events_path
 
 
-def report_digests(tmp_path, *options):
+def report_digests(tmp_path, *options, events=None):
+    """Digests of the reports of `compute --format csv` on `_write_inputs`,
+    with ``events`` as the log's text when it is given."""
     spec_path, events_path = _write_inputs(tmp_path)
+    if events is not None:
+        events_path.write_text(events, encoding="utf-8")
     out_dir = tmp_path / "out"
     code = main(
         [
@@ -136,6 +191,19 @@ def test_report_bytes_match_recorded_digests(tmp_path):
 
 def test_answer_mode_report_bytes_match_recorded_digests(tmp_path):
     assert report_digests(tmp_path, "--srt-mode", "answer") == ANSWER_MODE_DIGESTS
+
+
+def test_view_mode_report_bytes_match_recorded_digests(tmp_path):
+    assert report_digests(tmp_path, "--srt-mode", "view", events=VIEW_LOG) == VIEW_MODE_DIGESTS
+
+
+def test_srt_modes_give_different_student_reports_on_a_log_with_dwell_time(tmp_path):
+    digests = {}
+    for mode in ("view", "answer"):
+        (tmp_path / mode).mkdir()
+        digests[mode] = report_digests(tmp_path / mode, "--srt-mode", mode, events=VIEW_LOG)
+    for name in ("students.json", "students.csv", "questions.csv"):
+        assert digests["view"][name] != digests["answer"][name]
 
 
 def test_reported_sums_are_correctly_rounded():

@@ -50,6 +50,15 @@ def test_derive_rejects_an_option_the_question_does_not_offer():
         assert (err.value.field, err.value.question_id) == ("option_id", 2)
 
 
+def test_derive_rejects_a_question_the_spec_lacks_where_the_mode_reads_it():
+    session = make_session([view_event("s1", 9, 0), answer_event("s1", 1, "a", 5)])
+    with pytest.raises(DomainError, match="^question 9 is not in the spec$"):
+        derive_responses(session, make_spec(n=3), SrtMode.VIEW_INTERVALS)
+    # Answer mode reads no view: the view of question 9 charges no time there.
+    responses = derive_responses(session, make_spec(n=3), SrtMode.ANSWER_INTERVALS)
+    assert [r.markings for r in responses.values()] == [1, 0, 0]
+
+
 def test_answer_interval_attribution_charges_the_later_answer():
     spec = make_spec(n=2)
     session = make_session(
