@@ -30,7 +30,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,7 +49,7 @@ STANDARD_OPTION_IDS = ("a", "b", "c", "d", "e")
 DEFAULT_LU_DEVIATION = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5}
 
 EVENT_CSV_HEADER = ("student_id", "question_id", "event", "option_id", "timestamp_ms")
-# parse_event_log reads the log in slices of about this many characters.
+# parse_event_log reads slices of about this many characters, or a 32nd as many csv rows.
 _CHUNK_CHARS = 16384
 _RESERVED_ID_CHARS = frozenset(',"\n\r')
 
@@ -478,104 +478,105 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     as one with a field over its size limit, raises a located ParseError.
     Every event of a student holds the one id string of their session.
 
-    The path is chosen once per log. A plain log (the exact header, then
-    unquoted rows with LF line ends, question ids spelled as the spec spells
-    them and no ``end`` rows) is checked as whole columns, slice by slice,
-    by :func:`_parse_columns`. Any other log, and a plain one with a row
-    that fails a check, is read from its header by the row loop,
-    :func:`_parse_rows`. Both look up a view or answer row's (question id,
-    event, option id) in the one table the spec builds of them; the row
-    loop looks further only on a miss, for another spelling of the question
-    id or the row's error. The row loop is the definition: the sessions are
-    the same whichever path reads a log, and every error comes from it.
+    Every readable log has one success path, :func:`_parse_columns`, which
+    checks its rows as whole columns, a batch at a time. A log it refuses is
+    read again by the row loop, :func:`_parse_rows`, to raise its error.
     """
     if not text or text.isspace():
         return []
-    # Both paths make every check of AssessmentEvent.__new__ (the id rule once
-    # per student) and of StudentSession.__post_init__ (the same id rule, events
-    # sorted and grouped by student id, the end against the last event), so
-    # both are built with the bare tuple and object constructors.
-    events_by_student = _parse_columns(text, spec)
-    end_by_student = {}
-    if events_by_student is None:
-        events_by_student, end_by_student = _parse_rows(text, spec)
-
-    new_object = object.__new__
-    set_field = object.__setattr__
-    sessions = []
-    for student_id, events in events_by_student.values():
-        events.sort(key=itemgetter(4))  # timestamp_ms
-        last = events[-1].timestamp_ms if events else 0
-        end, end_line = end_by_student.get(student_id, (last, None))
-        if end < last:
-            raise ValidationError(
-                f"end row for student {student_id!r} precedes their last event",
-                field="timestamp_ms",
-                line=end_line,
-            )
-        session = new_object(StudentSession)
-        set_field(session, "student_id", student_id)
-        set_field(session, "events", tuple(events))
-        set_field(session, "session_end_ms", end)
-        sessions.append(session)
+    sessions = _parse_columns(text, spec)
+    if sessions is None:
+        _parse_rows(text, spec)  # raises: the column check refuses only a faulty log
     return sessions
 
 
-def _parse_columns(text: str, spec: QuestionnaireSpec) -> dict | None:
-    """The events of a plain log, by student id: (the id string of the
-    student's first row, their events). None for any other log.
-
-    A log is taken only when it holds no ``"``, CR or NUL and no slice over
-    the csv field limit, so that its csv rows are its non-blank lines split
-    on ``,``, and only when its rows pass every check, made as whole columns
-    per slice.
-    """
-    event_of = spec._event_fields
+def _field_batches(text: str) -> Iterator[list[str]]:
+    """The fields of the rows under the header, one flat list per batch of
+    non-blank rows: a plain log (no ``"``, CR or NUL) split on ``,`` slice by
+    slice, any other read by one ``csv.reader``. Raises ValueError or csv.Error
+    where csv would not read five-field rows under the exact header."""
     header = ",".join(EVENT_CSV_HEADER)
-    if text[: len(header) + 1] not in (header, header + "\n"):
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
-    for start, end in _slices(text, len(header) + 1):
-        chunk = text[start:end]
-        rows = list(filter(None, chunk.split("\n")))
-        if not rows:
-            continue
-        if len(chunk) > csv.field_size_limit() or set(map(str.count, rows, repeat(","))) != {4}:
-            return None
-        fields = ",".join(rows).split(",")
-        student_ids = fields[0::5]
-        seen = dict.fromkeys(student_ids)
-        try:
-            checked = list(map(event_of.__getitem__, zip(fields[1::5], fields[2::5], fields[3::5])))
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    if plain and text[: len(header) + 1] in (header, header + "\n"):
+        for start, end in _slices(text, len(header) + 1):
+            rows = list(filter(None, text[start:end].split("\n")))
+            if not rows:
+                continue
+            fields = ",".join(rows).split(",")
+            # A slice within the csv field limit holds no field over it.
+            if set(map(str.count, rows, repeat(","))) != {4} or (
+                end - start > csv.field_size_limit() < max(map(len, fields))
+            ):
+                raise ValueError("not a table of five-field rows under the field limit")
+            yield fields
+        return
+    reader = csv.reader(_lines(text))
+    if next(reader, None) != list(EVENT_CSV_HEADER):
+        raise ValueError("not the event-log header")
+    rows = filter(None, reader)  # no blank rows
+    while batch := list(islice(rows, _CHUNK_CHARS // 32 + 1)):
+        if set(map(len, batch)) != {5}:
+            raise ValueError("not a table of five-field rows")
+        yield list(chain.from_iterable(batch))
+
+
+def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] | None:
+    """The sessions of ``text``, or None when a row fails a check. Each batch
+    is checked as whole columns: one lookup per (question id, event, option
+    id) in the spec's table and ``int`` over the timestamps. Only a batch
+    with a miss is read row by row, for ``end`` rows and other id spellings."""
+    event_of = spec._event_fields
+    by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
+    end_by_student: dict[str, int] = {}
+    try:
+        for fields in _field_batches(text):
+            student_ids = fields[0::5]
             stamps = list(map(int, fields[4::5]))
-            new_ids = [s for s in seen if s not in events_by_student]
-            for student_id in new_ids:
-                _check_student_id(student_id)
-        except (KeyError, ValueError, ValidationError):
-            return None
-        if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
-            return None
-        for student_id in new_ids:
-            events_by_student[student_id] = (student_id, [])
-        id_of = {s: events_by_student[s][0] for s in seen}
-        events = map(
-            tuple.__new__, repeat(AssessmentEvent),
-            zip(map(id_of.__getitem__, student_ids), *zip(*checked), stamps),
-        )
-        for student_id, run in groupby(events, itemgetter(0)):
-            events_by_student[student_id][1].extend(run)
-    return events_by_student
+            if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
+                return None
+            # A student's first row of any kind registers them.
+            id_of = {s: by_student.setdefault(s, (s, []))[0] for s in dict.fromkeys(student_ids)}
+            keys = fields[1::5], fields[2::5], fields[3::5]
+            try:
+                checked = list(map(event_of.__getitem__, zip(*keys)))
+            except KeyError:  # an end row, or another spelling of a question id
+                checked = [
+                    event_of[key] if key in event_of else None if key == ("", "end", "")
+                    else event_of[str(int(key[0])), key[1], key[2]]  # " 3", "03", "+3" are 3
+                    for key in zip(*keys)
+                ]
+                for i in reversed([i for i, row in enumerate(checked) if row is None]):
+                    if student_ids[i] in end_by_student:
+                        return None
+                    end_by_student[student_ids[i]] = stamps[i]
+                    del student_ids[i], checked[i], stamps[i]
+            rows = zip(map(id_of.__getitem__, student_ids), *zip(*checked), stamps)
+            events = map(tuple.__new__, repeat(AssessmentEvent), rows)
+            for student_id, run in groupby(events, itemgetter(0)):
+                by_student[student_id][1].extend(run)
+        # Every check of both constructors is made here, so both are built bare.
+        sessions = []
+        for student_id, events in by_student.values():
+            _check_student_id(student_id)
+            events.sort(key=itemgetter(4))  # timestamp_ms
+            last = events[-1].timestamp_ms if events else 0
+            end = end_by_student.get(student_id, last)
+            if end < last:
+                return None
+            session = object.__new__(StudentSession)
+            vars(session).update(student_id=student_id, events=tuple(events), session_end_ms=end)
+            sessions.append(session)
+    except (KeyError, ValueError, ValidationError, csv.Error):
+        return None
+    return sessions
 
 
-def _parse_rows(text: str, spec: QuestionnaireSpec) -> tuple[dict, dict[str, tuple[int, int]]]:
-    """Read ``text`` one csv row at a time, from its header. Return its
-    events by student id, as :func:`_parse_columns` does, and each
-    student's end row: (timestamp, line)."""
+def _parse_rows(text: str, spec: QuestionnaireSpec) -> None:
+    """Read ``text`` one csv row at a time, from its header, and raise its first
+    faulty row's error, located at its line, or else one for the first student
+    in first-row order whose end row precedes their last event."""
     event_fields = spec._event_fields
-    new_event = tuple.__new__
-    events_by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
+    last_by_student: dict[str, int] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
     reader = csv.reader(_lines(text))
     try:
@@ -601,7 +602,6 @@ def _parse_rows(text: str, spec: QuestionnaireSpec) -> tuple[dict, dict[str, tup
             if fields is None and raw_event != "end":  # the row's error, or another id spelling
                 if raw_event not in ("view", "answer"):
                     raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
-                # Spellings such as " 3", "03" or "+3" still name question 3.
                 question_id = _parse_int(raw_qid, "question_id")
                 fields = event_fields.get((str(question_id), raw_event, raw_option))
                 if fields is None:
@@ -622,24 +622,24 @@ def _parse_rows(text: str, spec: QuestionnaireSpec) -> tuple[dict, dict[str, tup
                 raise ValidationError(
                     f"duplicate end row for student {student_id!r}", field="event"
                 )
-            # A student's first row of any kind registers them, once it passed its own checks.
-            student = events_by_student.get(student_id)
-            if student is None:
-                _check_student_id(student_id)
-                student = events_by_student[student_id] = (student_id, [])
+            # After the row's own checks: a bad id fails at its student's first sound row.
+            _check_student_id(student_id)
+            last = last_by_student.setdefault(student_id, 0)  # in first-row order
             if fields is None:  # an end row
                 end_by_student[student_id] = (timestamp_ms, reader.line_num)
-                continue
-            student_id, events = student
-            question_id, kind, option_id = fields
-            events.append(
-                new_event(AssessmentEvent, (student_id, question_id, kind, option_id, timestamp_ms))
-            )
+            else:
+                last_by_student[student_id] = max(last, timestamp_ms)
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
     except (ParseError, ValidationError) as exc:
         raise exc.locate(line=reader.line_num) from None
-    return events_by_student, end_by_student
+    for student_id, last in last_by_student.items():
+        end, end_line = end_by_student.get(student_id, (last, None))
+        if end < last:
+            raise ValidationError(
+                f"end row for student {student_id!r} precedes their last event",
+                field="timestamp_ms", line=end_line,
+            )
 
 
 def event_log_csv(sessions: Iterable[StudentSession]) -> str:

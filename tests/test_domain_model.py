@@ -573,15 +573,26 @@ def test_parsed_events_share_their_session_id_string():
         assert all(event.student_id is session.student_id for event in session.events)
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "cr"])
-def test_parse_memory_is_bounded_by_the_sessions(line_end):
+def _quote_every_field(text):
+    return "".join(
+        ",".join(f'"{field}"' for field in line.split(",")) + "\n" for line in text.splitlines()
+    )
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [lambda text: text, lambda text: text.replace("\n", "\r"), _quote_every_field],
+    ids=["lf", "cr", "quoted"],
+)
+def test_parse_memory_is_bounded_by_the_sessions(rewrite):
     # North star: memory is bounded by what the class needs, not by the size of
     # the log. The parse holds no copy of the whole text, and each event holds
-    # its student's one id string. The LF log takes the column path; its
-    # CR-only copy takes the row loop, whose slices must end at lone CRs.
+    # its student's one id string. The LF log is split on "," slice by slice;
+    # its CR-only and fully quoted copies are read by one csv reader, a batch
+    # of rows at a time, from slices that must end at lone CRs.
     spec = make_spec(n=40)
     text = event_log_csv(simulate_class(profile_from_name("self-corrector", 5), spec, 220))
-    text = text.replace("\n", line_end)
+    text = rewrite(text)
     assert len(text) >= 1_000_000
     tracemalloc.start()
     try:

@@ -1,9 +1,12 @@
-"""``parse_event_log`` reads a plain log as whole columns and any other log
-with its row loop. These tests pin that the two paths cannot be told apart,
-that the simulator's logs stay on the column path, and that the empty-log
-check copies nothing."""
+"""``parse_event_log`` builds the sessions of every readable log in one
+column check, and reads a log with its row loop only to raise the error of a
+log that check refuses. These tests pin that the check refuses exactly the
+logs in which the row loop finds an error, that an irregular log parses as
+its plain rewrite, that the library's own logs never reach the row loop, and
+that the empty-log check copies nothing."""
 
 import csv
+import io
 import tracemalloc
 from dataclasses import replace
 
@@ -37,9 +40,9 @@ def _set(index, change):
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
-# Spellings the row loop reads and the column path must leave to it, and
-# other spellings that Python's int() reads; each changes the fields of one
-# row in place.
+# Spellings that only the csv reader or a second lookup of the question id
+# reads, and other spellings that Python's int() reads; each changes the
+# fields of one row in place.
 SPELLINGS = {
     "quoted-id": _set(0, lambda f: f'"{f}"'),
     "quoted-newline": _set(1, lambda f: f'"{f}\n"'),  # int("3\n") is 3
@@ -62,15 +65,16 @@ HEADER = ",".join(domain_model.EVENT_CSV_HEADER)
 
 
 @st.composite
-def texts(draw):
-    """An event log with spellings at random rows, and maybe one fault in its
-    second half, so that the column path reads slices before it."""
+def texts(draw, faults=True):
+    """An event log with spellings at random rows, and maybe (with ``faults``)
+    one fault in its second half, so that the column check reads batches
+    before it."""
     header, *rows = event_log_csv(draw(sessions_of())).splitlines()
     rows = [row.split(",") for row in rows]
     for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
         fields = draw(st.sampled_from(rows))
         SPELLINGS[draw(st.sampled_from(sorted(SPELLINGS)))](fields)
-    fault = draw(st.sampled_from([None, *sorted(ROW_FAULTS)]))
+    fault = draw(st.sampled_from([None, *sorted(ROW_FAULTS)])) if faults else None
     if fault is not None and rows:
         index = draw(st.integers(min_value=len(rows) // 2, max_value=len(rows) - 1))
         student_id, _, _, _, timestamp = rows[index]
@@ -85,7 +89,7 @@ def texts(draw):
 
 
 def rows_only(text, spec):
-    """A column path that hands the whole log to the row loop."""
+    """A column check that refuses every log."""
     return None
 
 
@@ -102,27 +106,56 @@ def outcome(text):
     return sessions
 
 
+def plain_rewrite(text):
+    """``text`` as a plain log: the exact header, LF line ends, no quoting or
+    blank rows, and question ids and timestamps spelled as ``str(int(...))``."""
+    _, *rows = filter(None, csv.reader(io.StringIO(text, newline=None)))
+    lines = [",".join([s, q and str(int(q)), e, o, str(int(t))]) for s, q, e, o, t in rows]
+    rewrite = "\n".join([HEADER, *lines]) + "\n"
+    assert '"' not in rewrite and "\r" not in rewrite
+    return rewrite
+
+
 @settings(max_examples=400, deadline=None, database=None)
 @example(text=f"{HEADER}\ns1,1,view,,{'5':0>40}\n", chunk=64, field_limit=SMALL_FIELD_LIMIT)
+@example(text=f"{HEADER}\ns1,1,view,,{'5':0>32}\n", chunk=64, field_limit=SMALL_FIELD_LIMIT)
 @example(text=f"{HEADER}\ns1,1,view,,5\ns1,1,view,,\r6\n", chunk=64, field_limit=None)
+@example(text=f"{HEADER}\ns1,,end,,5\ns1,1,view,,3\ns1,,end,,6\n", chunk=1, field_limit=None)
+@example(text=f"{HEADER}\ns1,1,view,,7\ns1,,end,,6\n", chunk=1, field_limit=None)
 @given(
     text=texts(),
     chunk=st.sampled_from([1, 7, 64, domain_model._CHUNK_CHARS]),
     field_limit=st.sampled_from([None, SMALL_FIELD_LIMIT]),
 )
 def test_column_path_and_row_loop_agree(text, chunk, field_limit):
+    # The column check refuses a log exactly when the row loop raises on it,
+    # whatever the slice and batch size and the csv field limit.
     default_limit = csv.field_size_limit()
     try:
         if field_limit is not None:
             csv.field_size_limit(field_limit)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
-            both = outcome(text)
-            patch.setattr(domain_model, "_parse_columns", rows_only)
-            expected = outcome(text)
+            refused = domain_model._parse_columns(text, SPEC) is None
+            try:
+                domain_model._parse_rows(text, SPEC)
+            except (ParseError, ValidationError):
+                raised = True
+            else:
+                raised = False
     finally:
         csv.field_size_limit(default_limit)
-    assert both == expected
+    assert refused == raised
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=texts(faults=False), chunk=st.sampled_from([1, 7, 64, domain_model._CHUNK_CHARS]))
+def test_irregular_logs_parse_as_their_plain_rewrite(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
+        parsed = outcome(text)
+    if type(parsed) is list:
+        assert parsed == parse_event_log(plain_rewrite(text), SPEC)
 
 
 @pytest.mark.parametrize(
@@ -168,30 +201,55 @@ WIDE_SPEC = make_spec([
 ])
 
 
+def _with_end_rows(sessions):
+    """Every other session ends a second after its last event, so that
+    ``event_log_csv`` writes an ``end`` row for it."""
+    return [
+        replace(s, session_end_ms=s.session_end_ms + 1000) if i % 2 else s
+        for i, s in enumerate(sessions)
+    ]
+
+
+def _padded_ids(text):
+    """``text`` with every question id zero-padded: 3 becomes 03."""
+    header, *rows = text.splitlines()
+    rows = [row.split(",") for row in rows]
+    return "\n".join([header, *(",".join([s, q and f"0{q}", *rest]) for s, q, *rest in rows)]) + "\n"
+
+
 @pytest.mark.parametrize(
-    "spec, views, markings_range, profiles, blank_lines",
+    "spec, views, markings_range, profiles, variant",
     [
-        (make_spec(n=40), True, (2, 5), PROFILES, False),
-        (WIDE_SPEC, True, (2, 5), PROFILES, False),
-        (make_spec(n=40), False, (8, 16), ["self-corrector"], False),
-        (make_spec(n=40), True, (2, 5), PROFILES, True),
+        (make_spec(n=40), True, (2, 5), PROFILES, None),
+        (WIDE_SPEC, True, (2, 5), PROFILES, None),
+        (make_spec(n=40), False, (8, 16), ["self-corrector"], None),
+        (make_spec(n=40), True, (2, 5), PROFILES, "blank-lines"),
+        (make_spec(n=40), True, (2, 5), PROFILES, "end-rows"),
+        (make_spec(n=40), True, (2, 5), PROFILES, "padded-ids"),
     ],
     ids=[
         "four-profiles-with-views", "many-topics-with-views", "self-correctors-without-views",
-        "four-profiles-with-blank-lines",
+        "four-profiles-with-blank-lines", "four-profiles-with-end-rows",
+        "four-profiles-with-padded-ids",
     ],
 )
 def test_simulated_logs_parse_whole_on_the_column_path(
-    spec, views, markings_range, profiles, blank_lines, monkeypatch
+    spec, views, markings_range, profiles, variant, monkeypatch
 ):
     # Shaped like the benchmark's cohort, topic-dense and long-logs logs. The
-    # simulator ends each session at its last event, so no log has end rows.
+    # simulator ends each session at its last event, so only the end-rows
+    # variant has end rows; event_log_csv writes them as the library does.
     sessions = _class(profiles, spec, views, markings_range=markings_range)
+    if variant == "end-rows":
+        sessions = _with_end_rows(sessions)
     text = event_log_csv(sessions)
-    if blank_lines:  # skipped, as the row loop skips them
+    if variant == "blank-lines":  # skipped, as csv skips them
         header, rows = text.split("\n", 1)
         text = f"{header}\n\n{rows}\n"
-    assert ",end," not in text and len(text) > 8 * domain_model._CHUNK_CHARS
+    elif variant == "padded-ids":
+        text = _padded_ids(text)
+    assert (",end," in text) == (variant == "end-rows")
+    assert len(text) > 8 * domain_model._CHUNK_CHARS
     monkeypatch.setattr(domain_model, "_parse_rows", _rows_refused)
     assert parse_event_log(text, spec) == sessions
 
