@@ -8,10 +8,13 @@ Each rule behind the bytes is stated once:
 * decimals are ``_DECIMAL``, four fractional digits (round-half-even);
 * JSON scalars are written by ``_json_scalar``, JSON key order is fixed by
   construction;
-* CSV cells are written by ``_CsvCells``, the only user of ``csv.writer``;
+* CSV cells are written by ``_csv_cell``, the only user of ``csv.writer``;
+* text of a value is memoized by (value, type), so ``1``, ``1.0`` and
+  ``True`` keep their own;
 * the per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are
-  named tuples written from their field list by ``_RowFormat``: one
-  %-template per row class for students.json and one for the flat CSVs.
+  named tuples written from their field list by ``_RowFormat``, a block at a
+  time: each student's questions or subsets are one %-template filled once,
+  in students.json and in the flat CSVs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import io
 import json
 import math
 from collections import Counter
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
@@ -47,6 +50,7 @@ from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 _ENTRY_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
+_SCOPE = itemgetter(0)  # of a SubsetRow
 
 
 class GroupIndices(NamedTuple):
@@ -105,8 +109,9 @@ class StudentMetricsReport(NamedTuple):
 
     def as_dict(self) -> dict:
         """JSON form. The rows are the named tuples themselves:
-        :func:`render_json` writes each one positionally from its field
-        list, in declaration order."""
+        :func:`render_json` writes the question rows as one block, the subset
+        rows as another and the group indices as a block of one, each row
+        positionally from its field list, in declaration order."""
         return {
             "student_id": self.student_id,
             "quadrant": self.quadrant.value,
@@ -304,33 +309,58 @@ _DECIMAL = "%.4f"  # every reported float: four fractional digits, as format() g
 _DIRECTIVES = {int: "%d", float: _DECIMAL}
 
 
-class _RowFormat:
-    """One %-template for a named-tuple row class, from its field list:
-    ``int`` fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``,
-    with each of their values passed through ``convert``. The row is the
-    template's argument tuple, in field order. Each field's part is ``item``
-    formatted with its JSON-quoted name as ``key`` and its ``directive``."""
+class _Cells(dict):
+    """Text of each (value, type) key, worked out once per key by ``write``:
+    equal values of different types (``1``, ``1.0``, ``True``) stay apart."""
 
-    def __init__(self, cls: type, item: str, separator: str, prefix: str = "", suffix: str = ""):
+    def __init__(self, write: Callable[[object], str]):
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, key: tuple) -> str:
+        text = self[key] = self.write(key[0])
+        return text
+
+
+class _RowFormat:
+    """The %-templates of a named-tuple row class, from its field list: ``int``
+    fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``. Each
+    run of rows is written by one template per (row count, indent), built on
+    first use and filled with one argument tuple: the rows' fields in order,
+    each ``%s`` field as the text ``cells`` holds for its (value, type). A JSON
+    run (``indent``: a line break plus the rows' indent) is the rows as objects
+    of their fields, comma-separated. A CSV run (``indent`` None) is one line
+    per row, each between the next cells of ``head`` and ``tail``: arguments,
+    never template text, since ids and names may hold ``%``."""
+
+    def __init__(self, cls: type):
         hints = get_type_hints(cls)
         directives = {name: _DIRECTIVES.get(hints[name], "%s") for name in cls._fields}
-        items = [item.format(key=_quote(name), directive=d) for name, d in directives.items()]
-        self.template = prefix + separator.join(items) + suffix
+        self.items = [f"{_quote(name)}: {d}" for name, d in directives.items()]
+        self.csv_line = "%s," + ",".join(directives.values()) + "%s"
         self.converted = [i for i, d in enumerate(directives.values()) if d == "%s"]
+        self.templates: dict[tuple[int, str | None], str] = {}
 
-    def __call__(self, row, convert: Callable[[object], str]) -> str:
-        if self.converted:
-            row = list(row)
-            for i in self.converted:
-                row[i] = convert(row[i])
-            row = tuple(row)
-        return self.template % row
+    def block(self, rows: Sequence, cells: _Cells, indent: str | None, head=(), tail=()) -> str:
+        if not rows:  # no columns to zip, and the head and tail may be endless
+            return ""
+        key = (len(rows), indent)
+        if key not in self.templates:
+            line, separator = self.csv_line, ""
+            if indent is not None:
+                inner = indent + "  "
+                line = "{" + inner + ("," + inner).join(self.items) + indent + "}"
+                separator = "," + indent
+            self.templates[key] = separator.join([line] * len(rows))
+        columns = list(zip(*rows))
+        for i in self.converted:
+            columns[i] = map(cells.__getitem__, zip(columns[i], map(type, columns[i])))
+        if indent is None:
+            columns = [head, *columns, tail]
+        return self.templates[key] % tuple(chain.from_iterable(zip(*columns)))
 
 
-_ROW_CLASSES = (QuestionRow, SubsetRow, GroupIndices)
-_CSV_ROWS = {cls: _RowFormat(cls, "{directive}", ",") for cls in _ROW_CLASSES}
-# JSON formats by (row class, line break plus indent), built on first use.
-_JSON_ROWS: dict[tuple[type, str], _RowFormat] = {}
+_ROW_FORMATS = {cls: _RowFormat(cls) for cls in (QuestionRow, SubsetRow, GroupIndices)}
 
 
 def _json_scalar(value) -> str:
@@ -350,28 +380,19 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _json_row(row, newline: str) -> str:
-    key = (type(row), newline)
-    if key not in _JSON_ROWS:
-        inner = newline + "  "
-        _JSON_ROWS[key] = _RowFormat(
-            type(row), "{key}: {directive}", "," + inner, "{" + inner, newline + "}"
-        )
-    return _JSON_ROWS[key](row, _json_scalar)
-
-
 def render_json(value) -> str:
     """Serialize to JSON with fixed key order and 4-digit decimals.
     ``QuestionRow``, ``SubsetRow`` and ``GroupIndices`` values are written
     as objects of their fields."""
     out: list[str] = []
-    _render(value, "\n", out)
+    _render(value, "\n", out, _Cells(_json_scalar))
     out.append("\n")
     return "".join(out)
 
 
-def _render(value, newline: str, out: list[str]) -> None:
-    """Append ``value``; ``newline`` is a line break plus the current indent."""
+def _render(value, newline: str, out: list[str], cells: _Cells) -> None:
+    """Append ``value``; ``newline`` is a line break plus the current indent.
+    A row is a run of one; a list or tuple of rows of one class is one run."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -381,42 +402,42 @@ def _render(value, newline: str, out: list[str]) -> None:
         separator = "{" + inner
         for key, item in value.items():
             out.append(f"{separator}{_quote(str(key))}: ")
-            _render(item, inner, out)
+            _render(item, inner, out, cells)
             separator = "," + inner
         out.append(newline + "}")
-    elif kind in _ROW_CLASSES:
-        out.append(_json_row(value, newline))
+    elif kind in _ROW_FORMATS:
+        out.append(_ROW_FORMATS[kind].block((value,), cells, newline))
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
+        row_format = _ROW_FORMATS.get(type(value[0]))
+        if row_format and len(set(map(type, value))) == 1:
+            out.append("[" + inner + row_format.block(value, cells, inner) + newline + "]")
+            return
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _render(item, inner, out)
+            _render(item, inner, out, cells)
             separator = "," + inner
         out.append(newline + "]")
     else:
         out.append(_json_scalar(value))
 
 
-class _CsvCells(dict):
-    """Text of each value as ``csv.writer`` writes it between other fields,
-    worked out once per distinct value."""
-
-    def __missing__(self, value) -> str:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((value, None))
-        text = self[value] = buffer.getvalue()[:-2]  # without the ",\n" of None
-        return text
+def _csv_cell(value) -> str:
+    """Text of ``value`` as ``csv.writer`` writes it between other fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((value, None))
+    return buffer.getvalue()[:-2]  # without the ",\n" of None
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """CSV of the header and rows; each has 2+ cells (a lone empty one is quoted)."""
-    cells = _CsvCells()
+    cells = _Cells(_csv_cell)
     return "".join([
-        ",".join([cells[_DECIMAL % v if isinstance(v, float) else v] for v in row]) + "\n"
+        ",".join([_DECIMAL % v if isinstance(v, float) else cells[v, type(v)] for v in row]) + "\n"
         for row in (header, *rows)
     ])
 
@@ -454,30 +475,29 @@ def subject_srt_csv(
 
 def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-student reports, one line per subset row, written
-    from ``SubsetRow``'s field list; the quadrant and group columns are
-    filled on the questionnaire row only."""
+    a student at a time from ``SubsetRow``'s field list; the quadrant and
+    group columns are filled on the questionnaire row only."""
     header = ["student_id", *SubsetRow._fields, "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
-    write_row, cells = _CSV_ROWS[SubsetRow], _CsvCells()
+    row_format, cells = _ROW_FORMATS[SubsetRow], _Cells(_csv_cell)
     blank = "," * (1 + len(METRIC_KEYS)) + "\n"  # the quadrant and group cells
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = cells[report.student_id] + ","
+        student = repeat(cells[report.student_id, type(report.student_id)])
         tail = [report.quadrant.value, *report.group_indices]
-        overall = "".join(["," + cells[v] for v in tail]) + "\n"
-        for row in report.subsets:
-            end = overall if row.scope == SCOPE_QUESTIONNAIRE else blank
-            lines.append(student + write_row(row, cells.__getitem__) + end)
+        overall = "".join(["," + cells[v, type(v)] for v in tail]) + "\n"
+        ends = map({SCOPE_QUESTIONNAIRE: overall}.get, map(_SCOPE, report.subsets), repeat(blank))
+        lines.append(row_format.block(report.subsets, cells, None, student, ends))
     return "".join(lines)
 
 
 def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
-    """Flat form of the per-question rows, written from ``QuestionRow``'s
-    field list."""
+    """Flat form of the per-question rows, written a student at a time from
+    ``QuestionRow``'s field list."""
     header = ["student_id", *QuestionRow._fields]
-    write_row, cells = _CSV_ROWS[QuestionRow], _CsvCells()
+    row_format, cells = _ROW_FORMATS[QuestionRow], _Cells(_csv_cell)
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = cells[report.student_id] + ","
-        lines.extend([student + write_row(q, cells.__getitem__) + "\n" for q in report.questions])
+        student = repeat(cells[report.student_id, type(report.student_id)])
+        lines.append(row_format.block(report.questions, cells, None, student, repeat("\n")))
     return "".join(lines)

@@ -1,18 +1,21 @@
-"""The error contract of ``parse_event_log``, pinned as digests.
+"""The error contract of ``parse_event_log`` and ``parse_questionnaire``,
+pinned as digests.
 
-Each mutation family turns valid simulated logs into malformed ones. The
-draws come from the package's SplitMix64, not from hypothesis, so the inputs
-do not move with a hypothesis release. An input's outcome is its sessions, or
-its error's type, message, field, line and question id. The test keeps one
-sha256 per family over the outcomes of its inputs, so a failure names the
-family that moved. A change that moves an outcome on purpose re-records the
-family's constant and says in CHANGES.md which outcomes moved and why.
+Each mutation family turns valid simulated logs, or valid spec documents,
+into malformed ones. The draws come from the package's SplitMix64, not from
+hypothesis, so the inputs do not move with a hypothesis release. An input's
+outcome is its sessions or its spec, or its error's type, message and
+location. The test keeps one sha256 per family over the outcomes of its
+inputs, so a failure names the family that moved. A change that moves an
+outcome on purpose re-records the family's constant and says in CHANGES.md
+which outcomes moved and why.
 
 NUL is left out: the ``csv`` module of Python 3.10 rejects it where later
 versions read it.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,11 +26,13 @@ from edumetrics import (
     ValidationError,
     event_log_csv,
     parse_event_log,
+    parse_questionnaire,
     profile_from_name,
+    serialize_questionnaire,
     simulate_class,
 )
 from edumetrics import domain_model
-from helpers import make_spec
+from helpers import make_question, make_spec
 
 SPEC = make_spec(n=10)  # two-digit question ids
 PROFILES = ("assured", "guesser", "self-corrector", "disordered")
@@ -280,3 +285,174 @@ def test_malformed_log_outcomes_match_recorded_digests(family, chunk, monkeypatc
     monkeypatch.setattr(domain_model, "_CHUNK_CHARS", chunk)
     outcomes = "\n".join(map(outcome, inputs(family)))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == OUTCOME_DIGESTS[family]
+
+
+# The spec half: malformed questionnaire documents.
+
+SUBJECTS = ["Algebra", "Geometry", "%s \u00e9"]
+OTHER_TYPES = [None, "3", "", 1.5, -2.0, [], [3], {}, {"a": 1}]
+RAW_NUMBERS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400,
+    "0", "-0.0", "-1", "1e-400", "5e-324", "1.0",
+]
+RAW = "@raw@"  # stands in for a value written into the text as a bare literal
+
+
+def _base_spec(rng):
+    """A valid spec document: 1 to 5 questions with three subjects, up to three
+    topics each and varied indices and times, some options without
+    ``lu_deviation``."""
+    questions = [
+        make_question(
+            qid, subject=rng.choice(SUBJECTS),
+            topics=tuple(rng.randint(1, 4) for _ in range(rng.below(4))),
+            qdi=rng.choice([1, 3, 5]), cdi=rng.choice([1, 3, 5]), tdi=rng.choice([1, 3, 5]),
+            expected_time_s=rng.choice([30.0, 90.5, 120.0, 600.0]),
+        )
+        for qid in range(1, rng.randint(1, 5) + 1)
+    ]
+    doc = json.loads(serialize_questionnaire(make_spec(questions)))
+    for question in doc["questions"]:
+        for option in question["options"]:
+            if rng.below(4) == 0:
+                del option["lu_deviation"]
+    return doc
+
+
+def _some_object(rng, doc):
+    """The document, one of its questions or one of their options, each level
+    drawn as often."""
+    level = rng.below(3)
+    if level == 0:
+        return doc
+    question = rng.choice(doc["questions"])
+    return question if level == 1 else rng.choice(question["options"])
+
+
+def missing_key(rng, doc):
+    mapping = _some_object(rng, doc)
+    del mapping[rng.choice(sorted(mapping))]
+    return doc
+
+
+def wrong_type(rng, doc):
+    """A bool in place of an int, or a value of some other type, at any key or topic."""
+    mapping = _some_object(rng, doc)
+    key = rng.choice(sorted(mapping))
+    if key == "topic_ids" and mapping[key] and rng.below(2):
+        mapping, key = mapping[key], rng.below(len(mapping[key]))
+    if isinstance(mapping[key], int) and rng.below(2):
+        mapping[key] = rng.choice([True, False])
+    else:
+        mapping[key] = rng.choice(OTHER_TYPES + [True])
+    return doc
+
+
+def non_finite_number(rng, doc):
+    """A NaN, infinite, overflowing or edge literal at a float key, or at any numeric one."""
+    if rng.below(3):
+        mapping = doc if rng.below(3) == 0 else rng.choice(doc["questions"])
+        mapping["max_total_time_s" if mapping is doc else "expected_time_s"] = RAW
+        return doc
+    mapping = _some_object(rng, doc)
+    numeric = sorted(k for k, v in mapping.items() if isinstance(v, (int, float)))
+    mapping[rng.choice(numeric)] = RAW
+    return doc
+
+
+def duplicate_question_id(rng, doc):
+    questions = doc["questions"]
+    source = rng.choice(questions)
+    if rng.below(2):
+        questions.insert(rng.below(len(questions) + 1), json.loads(json.dumps(source)))
+    else:
+        rng.choice(questions)["question_id"] = source["question_id"]
+    return doc
+
+
+def duplicate_topic_id(rng, doc):
+    topics = rng.choice(doc["questions"])["topic_ids"]
+    topic = rng.choice(topics) if topics and rng.below(2) else rng.randint(1, 4)
+    for _ in range(1 if topic in topics else 2):
+        topics.insert(rng.below(len(topics) + 1), topic)
+    return doc
+
+
+def bad_option_set(rng, doc):
+    options = rng.choice(doc["questions"])["options"]
+    damage = rng.below(7)
+    if damage == 0:
+        del options[rng.below(len(options))]
+    elif damage == 1:
+        options.insert(rng.below(len(options) + 1), dict(rng.choice(options)))
+    elif damage == 2:
+        i, j = rng.below(len(options)), rng.below(len(options))
+        options[i], options[j] = options[j], options[i]
+    elif damage == 3:
+        rng.choice(options)["option_id"] = rng.choice(["f", "A", "", "ab", " a", "1"])
+    elif damage == 4:
+        rng.choice(options)["ws_weight"] = rng.choice([0, 1, 4, 5, -1])
+    elif damage == 5:
+        rng.choice(options)["lu_deviation"] = rng.choice([0, 1, 5, 6, -2])
+    else:
+        options.clear()
+    return doc
+
+
+def non_object_question(rng, doc):
+    """A question, an option or the whole document that is not a JSON object."""
+    other = rng.choice([[], [1], "q", 1, None, True, [{"question_id": 1}]])
+    target = rng.below(3)
+    if target == 0:
+        questions = doc["questions"]
+        questions[rng.below(len(questions))] = other
+    elif target == 1:
+        options = rng.choice(doc["questions"])["options"]
+        options[rng.below(len(options))] = other
+    else:
+        return other
+    return doc
+
+
+SPEC_FAMILIES = {
+    family.__name__.replace("_", "-"): family
+    for family in (
+        missing_key, wrong_type, non_finite_number, duplicate_question_id, duplicate_topic_id,
+        bad_option_set, non_object_question,
+    )
+}
+
+# sha256 of each spec family's outcomes, in input order.
+SPEC_OUTCOME_DIGESTS = {
+    "bad-option-set": "db88c34551e16476d80e350ead03870dc7bad44be5ece88468332e8467271e22",
+    "duplicate-question-id": "bb1a04202399512d3b788143ab71ebad0c7f501a307e67ba54b4d7ce7e2fbe69",
+    "duplicate-topic-id": "2e80cc780a95db4f5e0885cb1b1355285d9814f02d3f9d70102bcceb76626faf",
+    "missing-key": "218f814bc5581f7b2cea27dd097554075795044c10e398f35408c6e006b09bc0",
+    "non-finite-number": "544423260ddf48d141c28a11633079c45fa6fe1eb1f14e8a1055e8ed705dedad",
+    "non-object-question": "92caabc724d4c4dc9d918bee02d88655a22f465a685311bd443f86872c05c8ba",
+    "wrong-type": "4e37b506fb6d1f41e23895d1e5517840ad44049984b4c586556df868abbec4cc",
+}
+
+
+def spec_inputs(name):
+    """(text, allow_any_option_count) of each input of the family."""
+    rng = SplitMix64(101 + sorted(SPEC_FAMILIES).index(name))
+    for _ in range(INPUTS_PER_FAMILY):
+        text = json.dumps(SPEC_FAMILIES[name](rng, _base_spec(rng)))
+        yield text.replace(json.dumps(RAW), rng.choice(RAW_NUMBERS)), rng.below(4) == 0
+
+
+def spec_outcome(text, allow_any_option_count):
+    """One line: the parsed spec written back, or the error's type, message and location."""
+    try:
+        spec = parse_questionnaire(text, allow_any_option_count=allow_any_option_count)
+    except (ParseError, ValidationError) as err:
+        where = [getattr(err, name, None) for name in ("field", "line", "column", "question_id")]
+        return repr((type(err).__name__, str(err), *where))
+    return repr(serialize_questionnaire(spec))
+
+
+@pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+def test_malformed_spec_outcomes_match_recorded_digests(family):
+    outcomes = "\n".join(spec_outcome(*case) for case in spec_inputs(family))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == SPEC_OUTCOME_DIGESTS[family]

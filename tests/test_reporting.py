@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -28,11 +30,19 @@ from edumetrics import (
 )
 from edumetrics import analytics
 from edumetrics.cli import main
+from edumetrics.analytics import QuadrantLabel
 from edumetrics.reporting import (
+    GroupIndices,
+    QuestionRow,
+    StudentMetricsReport,
+    SubsetRow,
+    _csv_text,
     attach_group_indices,
     build_class_summary,
     compute_student,
+    questions_csv,
     render_json,
+    students_csv,
     subject_srt_csv,
 )
 from helpers import answer_event, make_question, make_session, make_spec, view_event
@@ -165,9 +175,9 @@ def _write_inputs(tmp_path):
     return spec_path, events_path
 
 
-def report_digests(tmp_path, *options, events=None):
-    """Digests of the reports of `compute --format csv` on `_write_inputs`,
-    with ``events`` as the log's text when it is given."""
+def report_digests(tmp_path, *options, events=None, output="csv"):
+    """Digests of the reports that `compute --format OUTPUT` writes on
+    `_write_inputs`, with ``events`` as the log's text when it is given."""
     spec_path, events_path = _write_inputs(tmp_path)
     if events is not None:
         events_path.write_text(events, encoding="utf-8")
@@ -175,13 +185,14 @@ def report_digests(tmp_path, *options, events=None):
     code = main(
         [
             "compute", "--spec", str(spec_path), "--events", str(events_path),
-            "--out", str(out_dir), "--format", "csv", *options,
+            "--out", str(out_dir), "--format", output, *options,
         ]
     )
     assert code == 0
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in REPORT_DIGESTS
+        if (out_dir / name).exists()
     }
 
 
@@ -195,6 +206,18 @@ def test_answer_mode_report_bytes_match_recorded_digests(tmp_path):
 
 def test_view_mode_report_bytes_match_recorded_digests(tmp_path):
     assert report_digests(tmp_path, "--srt-mode", "view", events=VIEW_LOG) == VIEW_MODE_DIGESTS
+
+
+def test_json_only_run_writes_the_reports_of_the_csv_run(tmp_path):
+    # Every digest above comes from a --format csv run; the json run writes
+    # the same five files without the flat CSVs.
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "json").mkdir()
+    with_csv = report_digests(tmp_path / "csv")
+    flat = {"students.csv", "questions.csv"}
+    assert report_digests(tmp_path / "json", output="json") == {
+        name: digest for name, digest in with_csv.items() if name not in flat
+    }
 
 
 def test_srt_modes_give_different_student_reports_on_a_log_with_dwell_time(tmp_path):
@@ -388,10 +411,78 @@ def test_compute_student_walks_the_answers_once(monkeypatch):
             '        "y": 0.1250\n      }\n    ]\n  }\n]\n',
         ),
         ((2.5, "s", True), '[\n  2.5000,\n  "s",\n  true\n]\n'),
+        # A tuple of rows of one class: one block.
+        (
+            (GroupIndices(1, 2, 3, 4), GroupIndices(4, 3, 2, 1)),
+            '[\n  {\n    "ts": 1,\n    "ws": 2,\n    "ad": 3,\n    "qucl": 4\n  },\n'
+            '  {\n    "ts": 4,\n    "ws": 3,\n    "ad": 2,\n    "qucl": 1\n  }\n]\n',
+        ),
+        # Rows of two classes, or a row and a non-row: each row alone.
+        (
+            [
+                QuestionRow(2, 3, 2, 4, 1.5, 0.25),
+                SubsetRow("topic", "%s", 1.0, 2.0, 0.5, 3.0, 0.0, 0.125, 0.75),
+            ],
+            '[\n  {\n    "question_id": 2,\n    "markings": 3,\n    "doubt": 2,\n    "weight": 4,\n'
+            '    "srt_s": 1.5000,\n    "qcl": 0.2500\n  },\n  {\n    "scope": "topic",\n'
+            '    "element": "%s",\n    "ts": 1.0000,\n    "ws": 2.0000,\n    "ad": 0.5000,\n'
+            '    "srt_s": 3.0000,\n    "disorder": 0.0000,\n    "qucl": 0.1250,\n'
+            '    "priority": 0.7500\n  }\n]\n',
+        ),
+        (
+            [GroupIndices(1, 1, 2, 2), None],
+            '[\n  {\n    "ts": 1,\n    "ws": 1,\n    "ad": 2,\n    "qucl": 2\n  },\n  null\n]\n',
+        ),
+        # Rows two levels deep: a block inside a list inside a dict.
+        (
+            {"q": [[GroupIndices(5, 6, 7, 8)], []]},
+            '{\n  "q": [\n    [\n      {\n        "ts": 5,\n        "ws": 6,\n        "ad": 7,\n'
+            '        "qucl": 8\n      }\n    ],\n    []\n  ]\n}\n',
+        ),
     ],
 )
 def test_render_json_literal_output(value, expected):
     assert render_json(value) == expected
+    assert render_json(_as_dicts(value)) == expected
+
+
+def _as_dicts(value):
+    """``value`` with each report row replaced by its ``_asdict()`` dict."""
+    if isinstance(value, (QuestionRow, SubsetRow, GroupIndices)):
+        return dict(value._asdict())
+    if isinstance(value, (list, tuple)):
+        return [_as_dicts(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_dicts(item) for key, item in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("elements", [(1, 1.0, True), (True, 1.0, 1)])
+def test_equal_values_of_different_types_stay_apart(elements):
+    # 1 == 1.0 == True: a memo of cell text keyed by the value alone writes
+    # the first one's text for all three.
+    rows = tuple(SubsetRow("topic", e, 1.0, 2.0, 0.5, 3.0, 0.0, 0.125, 0.75) for e in elements)
+    assert render_json(rows) == render_json([dict(row._asdict()) for row in rows])
+
+    report = StudentMetricsReport("s1", (), rows, QuadrantLabel.Q1, GroupIndices(1, 2, 3, 4))
+    written = list(csv.reader(io.StringIO(students_csv([report]))))[1:]
+    assert [line[2] for line in written] == _csv_writer_text([e] for e in elements).splitlines()
+    # The plot-data writer's own rule: floats are written as decimals.
+    cells = [[format(e, ".4f") if isinstance(e, float) else e, "x"] for e in elements]
+    expected = _csv_writer_text([("a", "b"), *cells])
+    assert _csv_text(("a", "b"), [[e, "x"] for e in elements]) == expected
+
+
+def test_flat_csvs_write_no_line_for_a_report_without_rows():
+    report = StudentMetricsReport("s1", (), (), QuadrantLabel.Q1, GroupIndices(1, 2, 3, 4))
+    assert questions_csv([report]) == questions_csv([])
+    assert students_csv([report]) == students_csv([])
+
+
+def _csv_writer_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def test_render_json_rejects_unknown_types():
