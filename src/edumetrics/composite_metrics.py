@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .domain_model import (
-    DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
+    CORRECT_WEIGHT, DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
 )
 from .errors import DomainError
 from .isolated_metrics import QuestionSubset, SubsetLike, assurance_degree
@@ -25,21 +25,11 @@ class ComprehensionInputs:
     expected_time_s: float
 
     def __post_init__(self) -> None:
-        if self.qdi not in DIFFICULTY_INDICES or self.cdi not in DIFFICULTY_INDICES:
-            raise DomainError(f"difficulty indices must be one of {DIFFICULTY_INDICES}")
-        if self.w not in WS_WEIGHTS:
-            raise DomainError(f"answer weight must be one of {WS_WEIGHTS}, got {self.w}")
+        effective_comprehension_level(self.qdi, self.cdi, self.w)  # checks the indices and w
         if not self.srt_s >= 0:
             raise DomainError("response time must be non-negative")
         if not self.expected_time_s > 0:
             raise DomainError("expected time must be positive")
-
-
-def max_comprehension_level(qdi: int, cdi: int) -> float:
-    """Highest measurable comprehension for a question: qdi * cdi * 4."""
-    if qdi not in DIFFICULTY_INDICES or cdi not in DIFFICULTY_INDICES:
-        raise DomainError(f"difficulty indices must be one of {DIFFICULTY_INDICES}")
-    return float(qdi * cdi * 4)
 
 
 def effective_comprehension_level(qdi: int, cdi: int, w: int) -> float:
@@ -51,25 +41,33 @@ def effective_comprehension_level(qdi: int, cdi: int, w: int) -> float:
     return float(qdi * cdi * w)
 
 
-def question_comprehension_level(inp: ComprehensionInputs) -> float:
-    """Time-sensitive comprehension of one question, in [0, 1].
+def max_comprehension_level(qdi: int, cdi: int) -> float:
+    """Highest measurable comprehension: the effective level of a correct answer."""
+    return effective_comprehension_level(qdi, cdi, CORRECT_WEIGHT)
 
-    With t the expected time, ecl/mcl as above and srt the accumulated
-    response time:
+
+def qcl(qdi: int, cdi: int, w: int, srt_s: float, t: float) -> float:
+    """Time-sensitive comprehension of one question, in [0, 1], unchecked:
+    ``ComprehensionInputs`` checks a library caller's inputs, the spec those
+    of ``compute_student``. With ecl = qdi * cdi * w, mcl = qdi * cdi * 4, t
+    the expected time and srt the accumulated response time:
 
     * srt <= t * FAST_FRACTION: ecl / (mcl * 4), a flat factor-4 penalty
       for answers fast enough to look like blind guesses;
     * t * FAST_FRACTION < srt <= t: ecl / mcl;
     * srt > t: ecl / (mcl + (srt - t)/t), shrinking with overtime.
     """
-    t = inp.expected_time_s
-    ecl = effective_comprehension_level(inp.qdi, inp.cdi, inp.w)
-    mcl = max_comprehension_level(inp.qdi, inp.cdi)
-    if inp.srt_s <= t * FAST_FRACTION:
+    ecl, mcl = float(qdi * cdi * w), float(qdi * cdi * CORRECT_WEIGHT)
+    if srt_s <= t * FAST_FRACTION:
         return ecl / (mcl * 4)
-    if inp.srt_s <= t:
+    if srt_s <= t:
         return ecl / mcl
-    return ecl / (mcl + (inp.srt_s - t) / t)
+    return ecl / (mcl + (srt_s - t) / t)
+
+
+def question_comprehension_level(inp: ComprehensionInputs) -> float:
+    """Time-sensitive comprehension of one question, in [0, 1]: :func:`qcl`."""
+    return qcl(inp.qdi, inp.cdi, inp.w, inp.srt_s, inp.expected_time_s)
 
 
 def questionnaire_comprehension_level(qcls: Sequence[float], ad: float, q_count: int) -> float:

@@ -643,28 +643,17 @@ def _parse_rows(text: str, spec: QuestionnaireSpec) -> None:
 
 
 def event_log_csv(sessions: Iterable[StudentSession]) -> str:
-    """Render sessions to the event CSV format (LF endings, unquoted).
-
-    An explicit ``end`` row is added only when the session end does not
-    coincide with the last event.
+    """Render sessions to the event CSV format (LF endings, unquoted: no
+    admitted student or option id holds a character csv would quote). An
+    ``end`` row is added only when the session does not end at its last event.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(EVENT_CSV_HEADER)
+    lines = [",".join(EVENT_CSV_HEADER)]
     for session in sessions:
-        for event in session.events:
-            writer.writerow(
-                [
-                    event.student_id,
-                    event.question_id,
-                    event.kind.value,
-                    event.option_id or "",
-                    event.timestamp_ms,
-                ]
-            )
-        needs_end = (not session.events) or (
-            session.session_end_ms != session.events[-1].timestamp_ms
-        )
-        if needs_end:
-            writer.writerow([session.student_id, "", "end", "", session.session_end_ms])
-    return buffer.getvalue()
+        lines += [
+            f"{student_id},{question_id},{kind.value},{option_id or ''},{timestamp_ms}"
+            for student_id, question_id, kind, option_id, timestamp_ms in session.events
+        ]
+        if not session.events or session.session_end_ms != session.events[-1].timestamp_ms:
+            lines.append(f"{session.student_id},,end,,{session.session_end_ms}")
+    lines.append("")
+    return "\n".join(lines)

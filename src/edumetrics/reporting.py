@@ -36,10 +36,9 @@ from .analytics import (
     classify_quadrant,
     rank_priorities,
 )
-from .composite_metrics import priority, questionnaire_comprehension_level
+from .composite_metrics import priority, qcl, questionnaire_comprehension_level
 from .domain_model import (
     CORRECT_WEIGHT,
-    FAST_FRACTION,
     SCOPE_QUESTIONNAIRE,
     SCOPE_SUBJECT,
     SCOPE_TOPIC,
@@ -50,7 +49,6 @@ from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 _ENTRY_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
-_SCOPE = itemgetter(0)  # of a SubsetRow
 
 
 class GroupIndices(NamedTuple):
@@ -129,12 +127,12 @@ def compute_student(
 ) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
-    Each per-question fact is computed once (qcl branch for branch as in
-    :func:`question_comprehension_level`); each row of ``spec.subset_layout``
-    sums them in the subset's order, as the metric definitions do. A subset's
-    answers make one transition fewer than its markings, all in order inside
-    a run of answers to one question, so one walk of the runs' heads counts
-    only the step-downs for disorder (answers after one to a larger id).
+    Each per-question fact is computed once, the qcl by the unchecked
+    :func:`qcl`; each row of ``spec.subset_layout`` sums them in the subset's
+    order, as the metric definitions do. A subset's answers make one
+    transition fewer than its markings, all in order inside a run of answers
+    to one question, so one walk of the runs' heads counts only the
+    step-downs for disorder (answers after one to a larger id).
     Difficulty indices and expected times are checked once per spec, when it
     is built; answer weights when each ``AnswerOption`` is; ad, ts and ws per
     subset. Times need no check: a ``StudentSession`` keeps its events in time
@@ -147,18 +145,11 @@ def compute_student(
     rows: list = [None]
     for question in spec.questions:
         response = responses[question.question_id]
-        w, srt_s, t = response.final_weight, response.srt_s, question.expected_time_s
-        ecl = float(question.qdi * question.cdi * w)
-        mcl = float(question.qdi * question.cdi * 4)
-        if srt_s <= t * FAST_FRACTION:
-            level = ecl / (mcl * 4)
-        elif srt_s <= t:
-            level = ecl / mcl
-        else:
-            level = ecl / (mcl + (srt_s - t) / t)
+        w, srt_s = response.final_weight, response.srt_s
         # Rows are built with positional arguments, cheaper than keywords.
         rows.append(QuestionRow(
-            question.question_id, response.markings, question_doubt(response), w, srt_s, level
+            question.question_id, response.markings, question_doubt(response), w, srt_s,
+            qcl(question.qdi, question.cdi, w, srt_s, question.expected_time_s),
         ))
 
     # Per subset: last question id answered (0: none) and step-downs.
@@ -476,17 +467,19 @@ def subject_srt_csv(
 def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-student reports, one line per subset row, written
     a student at a time from ``SubsetRow``'s field list; the quadrant and
-    group columns are filled on the questionnaire row only."""
+    group columns are filled on the questionnaire row, the first, only. The
+    group cells are empty in a report whose indices are not attached."""
     header = ["student_id", *SubsetRow._fields, "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
     row_format, cells = _ROW_FORMATS[SubsetRow], _Cells(_csv_cell)
     blank = "," * (1 + len(METRIC_KEYS)) + "\n"  # the quadrant and group cells
+    unattached = (None,) * len(METRIC_KEYS)
     lines = [_csv_text(header, ())]
     for report in reports:
         student = repeat(cells[report.student_id, type(report.student_id)])
-        tail = [report.quadrant.value, *report.group_indices]
+        tail = [report.quadrant.value, *(report.group_indices or unattached)]
         overall = "".join(["," + cells[v, type(v)] for v in tail]) + "\n"
-        ends = map({SCOPE_QUESTIONNAIRE: overall}.get, map(_SCOPE, report.subsets), repeat(blank))
+        ends = chain((overall,), repeat(blank))
         lines.append(row_format.block(report.subsets, cells, None, student, ends))
     return "".join(lines)
 

@@ -1,6 +1,7 @@
 import argparse
 import codecs
 import gc
+import hashlib
 import json
 import os
 import re
@@ -62,6 +63,15 @@ def test_simulate_is_deterministic(tmp_path):
     )
     assert result.returncode == 0
     assert first == second_path.read_bytes()
+
+
+def test_simulate_output_bytes_match_recorded_digest(tmp_path):
+    # Recorded from the writer that went through csv.writer.
+    spec_path = write_spec(tmp_path, n=9)
+    events = simulate_events(tmp_path, spec_path, profile="disordered", count=7, seed=19)
+    assert hashlib.sha256(events.read_bytes()).hexdigest() == (
+        "bb5a2434cecfe378b69a46eb2b6d73eb6bf9607ce8d0cbd2982c4c5c49960399"
+    )
 
 
 def test_simulate_zero_students_writes_header_only(tmp_path):

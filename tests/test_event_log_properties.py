@@ -24,6 +24,12 @@ SPEC = make_spec(
                make_question(3, weights=(4, 0))]
 )
 STUDENT_IDS = st.text(alphabet="abcxyz019 -_.é", min_size=1, max_size=6)
+# Every id _check_student_id admits (none of , " CR LF), written unquoted,
+# but NUL, which the csv reader of Python 3.10 rejects, and surrogates.
+ADMITTED_IDS = st.text(
+    st.characters(exclude_characters=',"\r\n\0', exclude_categories=("Cs",)),
+    min_size=1, max_size=6,
+)
 TIMESTAMPS = st.integers(min_value=0, max_value=10**12)
 
 
@@ -41,9 +47,9 @@ def events_of(draw, student_id):
 
 
 @st.composite
-def sessions_of(draw):
+def sessions_of(draw, student_ids=STUDENT_IDS):
     sessions = []
-    for student_id in draw(st.lists(STUDENT_IDS, max_size=4, unique=True)):
+    for student_id in draw(st.lists(student_ids, max_size=4, unique=True)):
         events = draw(st.lists(events_of(student_id), max_size=8))
         events.sort(key=lambda e: e.timestamp_ms)
         last = events[-1].timestamp_ms if events else 0
@@ -53,8 +59,9 @@ def sessions_of(draw):
 
 
 def interleave(draw, text):
-    """Shuffle the data rows of ``text`` while keeping each student's rows in order."""
-    header, *rows = text.splitlines()
+    """Shuffle the data rows of ``text`` while keeping each student's rows in
+    order. Rows end in LF only: an id may hold other line breaks of str.splitlines."""
+    header, *rows = text[:-1].split("\n")
     queues = {}
     for row in rows:
         queues.setdefault(row.split(",")[0], []).append(row)
@@ -68,7 +75,7 @@ def interleave(draw, text):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(sessions=sessions_of(), data=st.data())
+@given(sessions=sessions_of(ADMITTED_IDS), data=st.data())
 def test_event_log_round_trip(sessions, data):
     text = event_log_csv(sessions)
     parsed = parse_event_log(text, SPEC)

@@ -44,7 +44,8 @@ QUESTIONS_HEADER = ["student_id", "question_id", "markings", "doubt", "weight", 
 def classes(draw):
     """(spec, grouping scheme or None, reports): a spec with 1 to 6
     questions, with or without topics, and 0 to 4 students with a few views
-    and answers each."""
+    and answers each. The scheme is None when no group indices are attached:
+    in an empty class, and in some draws as ``compute_student`` leaves them."""
     with_topics = draw(st.booleans())
     spec = make_spec([
         make_question(
@@ -69,8 +70,8 @@ def classes(draw):
         sessions.append(StudentSession(student, tuple(events), stamp + draw(st.integers(0, 9999))))
     mode = draw(st.sampled_from(SrtMode))
     reports = [compute_student(session, spec, mode) for session in sessions]
-    scheme = build_grouping(len(reports)) if reports else None
-    if reports:
+    scheme = build_grouping(len(reports)) if reports and draw(st.booleans()) else None
+    if scheme:
         reports = attach_group_indices(reports, scheme)
     return spec, scheme, reports
 
@@ -90,7 +91,7 @@ def test_flat_csvs_equal_csv_writer_over_the_row_values(case):
     _, _, reports = case
     student_rows = []
     for report in reports:
-        overall = [report.quadrant.value, *report.group_indices]
+        overall = [report.quadrant.value, *(report.group_indices or [None] * len(METRIC_KEYS))]
         for row in report.subsets:
             tail = overall if row.scope == "questionnaire" else [None] * len(overall)
             student_rows.append([report.student_id, *row._asdict().values(), *tail])
@@ -135,7 +136,7 @@ def test_students_json_equals_the_generic_render_of_the_row_dicts(case):
         {
             "student_id": r.student_id,
             "quadrant": r.quadrant.value,
-            "group_indices": dict(r.group_indices._asdict()),
+            "group_indices": r.group_indices and dict(r.group_indices._asdict()),
             "questions": [dict(q._asdict()) for q in r.questions],
             "subsets": [dict(s._asdict()) for s in r.subsets],
         }

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from edumetrics import (
@@ -7,6 +10,7 @@ from edumetrics import (
     QuestionSubset,
     SimulationError,
     SplitMix64,
+    StudentSession,
     assurance_degree,
     comprehension_for_response,
     comprehension_for_subset,
@@ -14,6 +18,7 @@ from edumetrics import (
     derive_responses,
     event_log_csv,
     level_of_disorder,
+    parse_event_log,
     profile_from_name,
     simulate_class,
     simulate_student,
@@ -62,6 +67,46 @@ def test_simulation_is_deterministic():
     a = event_log_csv(simulate_class(profile, SPEC, 3))
     b = event_log_csv(simulate_class(profile, SPEC, 3))
     assert a == b
+
+
+# Expected times differ by question, so each profile's times vary with it.
+LOG_SPEC = make_spec(
+    [make_question(i + 1, expected_time_s=40.0 + 20 * (i % 3)) for i in range(8)]
+)
+
+# sha256 of the event log of each profile's simulated class and of
+# `_ended_sessions`, recorded from the writer that went through csv.writer.
+LOG_DIGESTS = {
+    "assured": "ff7e3695efb1a8a17a09b580bec564982223c75973ca71f22f1a14101d706b48",
+    "guesser": "809e5e6c8118fc3713aaa19eedd6cb6f2e92c2c6de261735aa5b354aed68eb96",
+    "self-corrector": "d9cdb8c69854afa44df9cb318c85424b3ed5c019f94c80b01362a5cff9c9eb86",
+    "disordered": "5abc45b17f8d9fca148d5d7d6cb56a728c002000a1ab01f6d55c5b774675008b",
+    "ended": "5a4cf8b6ad45e89bb2361e86e85f1bd9adecf888f025a3cb50767bec96e692ab",
+}
+
+
+def _ended_sessions():
+    """Simulated sessions, all but the first ending after their last event (so
+    the log has end rows), and one with no events. Their ids hold characters
+    the log admits unquoted."""
+    simulated = simulate_class(
+        profile_from_name("self-corrector", 5), LOG_SPEC, 3, id_prefix="s \u00e9\t%d;"
+    )
+    ended = [
+        replace(s, session_end_ms=s.session_end_ms + 1000 * i) for i, s in enumerate(simulated)
+    ]
+    return [*ended, StudentSession("idle \u2028 ~", (), 7000)]
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DIGESTS))
+def test_event_log_bytes_match_recorded_digests(name):
+    if name == "ended":
+        sessions = _ended_sessions()
+    else:
+        sessions = simulate_class(profile_from_name(name, 31), LOG_SPEC, 5)
+    text = event_log_csv(sessions)
+    assert parse_event_log(text, LOG_SPEC) == sessions
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[name]
 
 
 def test_different_seeds_differ():
