@@ -48,9 +48,9 @@ def max_comprehension_level(qdi: int, cdi: int) -> float:
 
 def qcl(qdi: int, cdi: int, w: int, srt_s: float, t: float) -> float:
     """Time-sensitive comprehension of one question, in [0, 1], unchecked:
-    ``ComprehensionInputs`` checks a library caller's inputs, the spec those
-    of ``compute_student``. With ecl = qdi * cdi * w, mcl = qdi * cdi * 4, t
-    the expected time and srt the accumulated response time:
+    ``ComprehensionInputs`` checks a library caller's inputs, the constructors
+    of the spec and the responses all others. With ecl = qdi * cdi * w, mcl =
+    qdi * cdi * 4, t the expected time and srt the accumulated response time:
 
     * srt <= t * FAST_FRACTION: ecl / (mcl * 4), a flat factor-4 penalty
       for answers fast enough to look like blind guesses;
@@ -99,16 +99,10 @@ def priority(ts: float, ws: float) -> float:
 
 
 def comprehension_for_response(response: QuestionResponse, question: QuestionSpec) -> float:
-    """Per-question comprehension from a derived response; unanswered gives weight 0."""
-    return question_comprehension_level(
-        ComprehensionInputs(
-            qdi=question.qdi,
-            cdi=question.cdi,
-            w=response.final_weight,
-            srt_s=response.srt_s,
-            expected_time_s=question.expected_time_s,
-        )
-    )
+    """Per-question comprehension from a derived response; unanswered gives weight 0.
+    Calls :func:`qcl` unchecked: each of its inputs was checked when it was built."""
+    w = response.final_weight
+    return qcl(question.qdi, question.cdi, w, response.srt_s, question.expected_time_s)
 
 
 def comprehension_for_subset(

@@ -10,11 +10,12 @@ Two interchange formats live here:
 
 Everything parsed is immutable afterwards. Invariants are enforced at
 construction time: violations raise :class:`ValidationError`,
-syntactically malformed input raises :class:`ParseError`.
-:func:`parse_event_log` is the boundary that validates event rows: it
-makes every check of :class:`AssessmentEvent` and :class:`StudentSession`
-and builds both without repeating those checks. :func:`_check_student_id`
-is the one student-id rule, for all three.
+syntactically malformed input raises :class:`ParseError`. Each field rule
+is stated once, in the constructor that owns it or a ``_check_*`` helper
+they share; :func:`parse_questionnaire` checks only JSON types and the
+standard option set. :func:`parse_event_log` is the boundary that validates
+event rows: it makes every check of :class:`AssessmentEvent` and
+:class:`StudentSession` and builds both without repeating those checks.
 
 The checks inside a parse loop raise without a location. Each loop adds
 it in one place, through the errors' ``locate``: the question id in
@@ -79,16 +80,8 @@ class AnswerOption:
 
     def __post_init__(self) -> None:
         _check_option_id(self.option_id)
-        if isinstance(self.ws_weight, bool) or self.ws_weight not in WS_WEIGHTS:
-            raise ValidationError(
-                f"ws_weight must be one of {WS_WEIGHTS}, got {self.ws_weight}",
-                field="ws_weight",
-            )
-        if isinstance(self.lu_deviation, bool) or self.lu_deviation not in LU_DEVIATIONS:
-            raise ValidationError(
-                f"lu_deviation must be one of {LU_DEVIATIONS}, got {self.lu_deviation}",
-                field="lu_deviation",
-            )
+        _check_member(self.ws_weight, WS_WEIGHTS, "ws_weight")
+        _check_member(self.lu_deviation, LU_DEVIATIONS, "lu_deviation")
 
     @property
     def is_correct(self) -> bool:
@@ -109,25 +102,18 @@ class QuestionSpec:
     options: tuple[AnswerOption, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topic_ids", frozenset(self.topic_ids))
-        object.__setattr__(self, "options", tuple(self.options))
         qid = self.question_id
-        if isinstance(qid, bool) or not isinstance(qid, int) or qid < 1:
-            raise ValidationError("question_id must be a positive integer", field="question_id")
+        topic_ids = list(self.topic_ids)  # first, and as given: a frozenset merges True with 1
+        if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
+            raise ValidationError("topic_ids must be integers", field="topic_ids", question_id=qid)
+        if len(set(topic_ids)) != len(topic_ids):
+            raise ValidationError("duplicate topic_id", field="topic_ids", question_id=qid)
+        object.__setattr__(self, "topic_ids", frozenset(topic_ids))
+        object.__setattr__(self, "options", tuple(self.options))
+        _check_question_id(qid)
         for name in ("qdi", "cdi", "tdi"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or value not in DIFFICULTY_INDICES:
-                raise ValidationError(
-                    f"{name} must be one of {DIFFICULTY_INDICES}, got {value}",
-                    field=name,
-                    question_id=qid,
-                )
-        if isinstance(self.expected_time_s, bool) or not 0 < self.expected_time_s < math.inf:
-            raise ValidationError(
-                "expected_time_s must be positive and finite",
-                field="expected_time_s",
-                question_id=qid,
-            )
+            _check_member(getattr(self, name), DIFFICULTY_INDICES, name, qid)
+        _check_seconds(self.expected_time_s, "expected_time_s", qid)
         if not self.options:
             raise ValidationError("question has no options", field="options", question_id=qid)
         ids = [o.option_id for o in self.options]
@@ -178,10 +164,7 @@ class QuestionnaireSpec:
                     field="question_id",
                     question_id=question.question_id,
                 )
-        if isinstance(self.max_total_time_s, bool) or not 0 < self.max_total_time_s < math.inf:
-            raise ValidationError(
-                "max_total_time_s must be positive and finite", field="max_total_time_s"
-            )
+        _check_seconds(self.max_total_time_s, "max_total_time_s")
 
     @property
     def question_count(self) -> int:
@@ -268,8 +251,7 @@ class AssessmentEvent(_EventFields):
         timestamp_ms: int,
     ) -> AssessmentEvent:
         _check_student_id(student_id)
-        if isinstance(question_id, bool) or not isinstance(question_id, int) or question_id < 1:
-            raise ValidationError("question_id must be a positive integer", field="question_id")
+        _check_question_id(question_id)
         _check_timestamp_ms(timestamp_ms, "timestamp_ms")
         if not isinstance(kind, EventKind):
             raise ValidationError(f"kind must be an EventKind, got {kind!r}", field="kind")
@@ -297,6 +279,12 @@ def _check_student_id(student_id: str) -> None:
         )
 
 
+def _check_question_id(question_id: int) -> None:
+    """A question id is a positive int, not a bool."""
+    if isinstance(question_id, bool) or not isinstance(question_id, int) or question_id < 1:
+        raise ValidationError("question_id must be a positive integer", field="question_id")
+
+
 def _check_option_id(option_id: str) -> None:
     """An option id is a single lowercase letter."""
     if not (isinstance(option_id, str) and len(option_id) == 1 and "a" <= option_id <= "z"):
@@ -311,6 +299,22 @@ def _check_timestamp_ms(value: int, field: str) -> None:
         raise ValidationError(f"{field} must be a non-negative integer", field=field)
     if value > MAX_TIMESTAMP_MS:
         raise ValidationError(f"{field} must not exceed {MAX_TIMESTAMP_MS}", field=field)
+
+
+def _check_seconds(value: float, field: str, question_id: int | None = None) -> None:
+    """A time in the spec is a positive, finite number, not a bool."""
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise ValidationError(
+            f"{field} must be positive and finite", field=field, question_id=question_id
+        )
+
+
+def _check_member(value: int, allowed: tuple, field: str, question_id: int | None = None) -> None:
+    """A value from a fixed set is one of ``allowed``, not a bool."""
+    if isinstance(value, bool) or value not in allowed:
+        raise ValidationError(
+            f"{field} must be one of {allowed}, got {value}", field=field, question_id=question_id
+        )
 
 
 @dataclass(frozen=True)
@@ -374,14 +378,9 @@ def _parse_question(raw: dict, allow_any_option_count: bool) -> dict:
                 f"questions must offer exactly the options {'/'.join(STANDARD_OPTION_IDS)}",
                 field="options",
             )
-    topic_ids = _get(raw, "topic_ids", list)
-    if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
-        raise ValidationError("topic_ids must be integers", field="topic_ids")
-    if len(set(topic_ids)) != len(topic_ids):
-        raise ValidationError("duplicate topic_id", field="topic_ids")
     return dict(
+        topic_ids=_get(raw, "topic_ids", list),  # before "subject": its fault is reported first
         subject=_get(raw, "subject", str),
-        topic_ids=frozenset(topic_ids),
         qdi=_get(raw, "qdi", int),
         cdi=_get(raw, "cdi", int),
         tdi=_get(raw, "tdi", int),
@@ -605,15 +604,12 @@ def _parse_rows(text: str, spec: QuestionnaireSpec) -> None:
                 question_id = _parse_int(raw_qid, "question_id")
                 fields = event_fields.get((str(question_id), raw_event, raw_option))
                 if fields is None:
-                    spec.question(question_id)  # a question the spec lacks is reported first
+                    question = spec.question(question_id)  # a question the spec lacks comes first
                     if raw_event == "view":
                         raise ValidationError(
                             "view rows must leave option_id empty", field="option_id"
                         )
-                    raise ValidationError(
-                        f"unknown option_id {raw_option!r}", field="option_id",
-                        question_id=question_id,
-                    )
+                    question.option(raw_option)  # raises: the table holds the question's options
             elif fields is None and (raw_qid or raw_option):
                 raise ValidationError(
                     "end rows must leave question_id and option_id empty", field="event"

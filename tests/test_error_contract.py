@@ -12,15 +12,22 @@ which outcomes moved and why.
 
 NUL is left out: the ``csv`` module of Python 3.10 rejects it where later
 versions read it.
+
+The first few inputs of each family also go through ``edumetrics compute``,
+which must fail exactly where the library fails on the text the command reads.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from edumetrics import (
+    EduMetricsError,
     ParseError,
     SplitMix64,
     ValidationError,
@@ -31,7 +38,7 @@ from edumetrics import (
     serialize_questionnaire,
     simulate_class,
 )
-from edumetrics import domain_model
+from edumetrics import cli, domain_model
 from helpers import make_question, make_spec
 
 SPEC = make_spec(n=10)  # two-digit question ids
@@ -456,3 +463,62 @@ def spec_outcome(text, allow_any_option_count):
 def test_malformed_spec_outcomes_match_recorded_digests(family):
     outcomes = "\n".join(spec_outcome(*case) for case in spec_inputs(family))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == SPEC_OUTCOME_DIGESTS[family]
+
+
+# The compute half: the first inputs of each family through ``edumetrics compute``.
+
+COMPUTE_INPUTS = 3
+HEADER_ONLY = ",".join(domain_model.EVENT_CSV_HEADER) + "\n"
+
+
+def _library_stderr(spec_path, events_path, allow_any_option_count):
+    """The stderr ``compute`` must print: nothing, or the first error that the
+    library raises on the text as the command reads it (a leading BOM dropped,
+    every CR and CRLF read as LF), after the path of the file."""
+    path = spec_path
+    try:
+        text = spec_path.read_text(encoding="utf-8-sig")
+        spec = parse_questionnaire(text, allow_any_option_count=allow_any_option_count)
+        path = events_path
+        parse_event_log(events_path.read_text(encoding="utf-8-sig"), spec)
+    except EduMetricsError as err:
+        return f"error: {path}: {err}\n"
+    return ""
+
+
+def assert_compute_matches_the_library(tmp_path, capsys, spec_text, events_text, allow_any):
+    spec, events = tmp_path / "spec.json", tmp_path / "events.csv"
+    spec.write_bytes(spec_text.encode("utf-8"))
+    events.write_bytes(events_text.encode("utf-8"))
+    argv = ["compute", "--spec", str(spec), "--events", str(events), "--out", str(tmp_path / "out")]
+    code = cli.main(argv + ["--allow-any-option-count"] * allow_any)
+    expected = _library_stderr(spec, events, allow_any)
+    assert (code, capsys.readouterr().err) == (1 if expected else 0, expected)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compute_reports_a_malformed_log_as_the_library(family, tmp_path, capsys):
+    spec_text = serialize_questionnaire(SPEC)
+    for text in islice(inputs(family), COMPUTE_INPUTS):
+        assert_compute_matches_the_library(tmp_path, capsys, spec_text, text, False)
+
+
+@pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+def test_compute_reports_a_malformed_spec_as_the_library(family, tmp_path, capsys):
+    for text, allow_any in islice(spec_inputs(family), COMPUTE_INPUTS):
+        assert_compute_matches_the_library(tmp_path, capsys, text, HEADER_ONLY, allow_any)
+
+
+def test_command_reports_a_malformed_log_in_one_line(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(serialize_questionnaire(SPEC), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    events.write_text(next(inputs("junk-field")), encoding="utf-8", newline="")
+    result = subprocess.run(
+        [sys.executable, "-m", "edumetrics", "compute", "--spec", str(spec),
+         "--events", str(events), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr

@@ -108,6 +108,15 @@ CASES = [
                  ValidationError, "options", None, id="question-duplicate-option"),
     pytest.param(lambda: QUESTION.option("z"), ValidationError, "option_id", None,
                  id="question-unknown-option"),
+    # A question built in Python meets the JSON's topic-id rules too.
+    pytest.param(lambda: replace(QUESTION, topic_ids={1, "x"}), ValidationError, "topic_ids", None,
+                 id="question-topic-not-integer"),
+    pytest.param(lambda: replace(QUESTION, topic_ids=[True]), ValidationError, "topic_ids", None,
+                 id="question-topic-boolean"),
+    pytest.param(lambda: replace(QUESTION, topic_ids=[2.5]), ValidationError, "topic_ids", None,
+                 id="question-topic-float"),
+    pytest.param(lambda: replace(QUESTION, topic_ids=[1, 1]), ValidationError, "topic_ids", None,
+                 id="question-topic-duplicate"),
     pytest.param(lambda: QuestionnaireSpec("q", (), 600.0), ValidationError, "questions", None,
                  id="questionnaire-without-questions"),
     pytest.param(lambda: event(student_id=""), ValidationError, "student_id", None,
