@@ -26,10 +26,15 @@ class ComprehensionInputs:
 
     def __post_init__(self) -> None:
         effective_comprehension_level(self.qdi, self.cdi, self.w)  # checks the indices and w
-        if not self.srt_s >= 0:
-            raise DomainError("response time must be non-negative")
-        if not self.expected_time_s > 0:
-            raise DomainError("expected time must be positive")
+        check_times(self.srt_s, self.expected_time_s)
+
+
+def check_times(srt_s: float, expected_time_s: float) -> None:
+    """A response time is finite and non-negative, an expected time finite and positive."""
+    if not 0 <= srt_s < math.inf:
+        raise DomainError("response time must be finite and non-negative")
+    if not 0 < expected_time_s < math.inf:
+        raise DomainError("expected time must be positive and finite")
 
 
 def effective_comprehension_level(qdi: int, cdi: int, w: int) -> float:

@@ -210,7 +210,7 @@ class QuestionnaireSpec:
     def _event_fields(self) -> dict[tuple[str, str, str], tuple[int, EventKind, str | None]]:
         """(question id, event, option id or "") of every valid view or answer
         row, as the log spells them -> its event's (question id, kind, option
-        id or None). Built once per spec; both event-log parse paths read it."""
+        id or None). Built once per spec; read by the column check only."""
         table = {}
         for q in self.questions:
             qid = str(q.question_id)
@@ -531,8 +531,8 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
         for fields in _field_batches(text):
             student_ids = fields[0::5]
             stamps = list(map(int, fields[4::5]))
-            if min(stamps) < 0 or max(stamps) > MAX_TIMESTAMP_MS:
-                return None
+            _check_timestamp_ms(min(stamps), "timestamp_ms")
+            _check_timestamp_ms(max(stamps), "timestamp_ms")
             # A student's first row of any kind registers them.
             id_of = {s: by_student.setdefault(s, (s, []))[0] for s in dict.fromkeys(student_ids)}
             keys = fields[1::5], fields[2::5], fields[3::5]
@@ -573,8 +573,8 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
 def _parse_rows(text: str, spec: QuestionnaireSpec) -> None:
     """Read ``text`` one csv row at a time, from its header, and raise its first
     faulty row's error, located at its line, or else one for the first student
-    in first-row order whose end row precedes their last event."""
-    event_fields = spec._event_fields
+    in first-row order whose end row precedes their last event. Each check reads
+    the spec or a constructor's rule; their order picks the fault a row reports."""
     last_by_student: dict[str, int] = {}
     end_by_student: dict[str, tuple[int, int]] = {}
     reader = csv.reader(_lines(text))
@@ -594,34 +594,28 @@ def _parse_rows(text: str, spec: QuestionnaireSpec) -> None:
             if not student_id:  # on every row, before the row's other faults
                 raise ValidationError("student_id must be non-empty", field="student_id")
             timestamp_ms = _parse_int(raw_ts, "timestamp_ms")
-            if not 0 <= timestamp_ms <= MAX_TIMESTAMP_MS:
-                reason = "be non-negative" if timestamp_ms < 0 else f"not exceed {MAX_TIMESTAMP_MS}"
-                raise ValidationError(f"timestamp_ms must {reason}", field="timestamp_ms")
-            fields = event_fields.get((raw_qid, raw_event, raw_option))
-            if fields is None and raw_event != "end":  # the row's error, or another id spelling
-                if raw_event not in ("view", "answer"):
-                    raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
-                question_id = _parse_int(raw_qid, "question_id")
-                fields = event_fields.get((str(question_id), raw_event, raw_option))
-                if fields is None:
-                    question = spec.question(question_id)  # a question the spec lacks comes first
-                    if raw_event == "view":
-                        raise ValidationError(
-                            "view rows must leave option_id empty", field="option_id"
-                        )
-                    question.option(raw_option)  # raises: the table holds the question's options
-            elif fields is None and (raw_qid or raw_option):
-                raise ValidationError(
-                    "end rows must leave question_id and option_id empty", field="event"
-                )
-            elif fields is None and student_id in end_by_student:
-                raise ValidationError(
-                    f"duplicate end row for student {student_id!r}", field="event"
-                )
+            _check_timestamp_ms(timestamp_ms, "timestamp_ms")
+            if raw_event == "end":
+                if raw_qid or raw_option:
+                    raise ValidationError(
+                        "end rows must leave question_id and option_id empty", field="event"
+                    )
+                if student_id in end_by_student:
+                    raise ValidationError(
+                        f"duplicate end row for student {student_id!r}", field="event"
+                    )
+            elif raw_event not in ("view", "answer"):
+                raise ValidationError(f"unknown event kind {raw_event!r}", field="event")
+            else:  # a question the spec lacks comes before the row's option
+                question = spec.question(_parse_int(raw_qid, "question_id"))
+                if raw_event == "answer":
+                    question.option(raw_option)
+                elif raw_option:
+                    raise ValidationError("view rows must leave option_id empty", field="option_id")
             # After the row's own checks: a bad id fails at its student's first sound row.
             _check_student_id(student_id)
             last = last_by_student.setdefault(student_id, 0)  # in first-row order
-            if fields is None:  # an end row
+            if raw_event == "end":
                 end_by_student[student_id] = (timestamp_ms, reader.line_num)
             else:
                 last_by_student[student_id] = max(last, timestamp_ms)

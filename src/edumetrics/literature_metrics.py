@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
+from .composite_metrics import check_times
 from .domain_model import DIFFICULTY_INDICES, FAST_FRACTION, LU_DEVIATIONS
 from .errors import DomainError
 
@@ -60,10 +61,7 @@ def level_of_understanding(inp: LuInputs) -> float:
 def classify_response_time(srt_s: float, expected_time_s: float) -> ResponseTimeClass:
     """BLIND_GUESS when the answer took at most ``FAST_FRACTION`` of the
     expected time (boundary included), NORMAL otherwise."""
-    if not srt_s >= 0:
-        raise DomainError("response time must be non-negative")
-    if not expected_time_s > 0:
-        raise DomainError("expected time must be positive")
+    check_times(srt_s, expected_time_s)
     if srt_s <= expected_time_s * FAST_FRACTION:
         return ResponseTimeClass.BLIND_GUESS
     return ResponseTimeClass.NORMAL

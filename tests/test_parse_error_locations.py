@@ -25,27 +25,38 @@ from edumetrics.domain_model import MAX_TIMESTAMP_MS
 from test_event_log_properties import ADMITTED_IDS, SPEC, sessions_of
 
 # Each fault turns the data row (student id, timestamp) into the faulty row's
-# fields, and names the error it must raise and that error's field.
+# fields, and names the error it must raise, that error's field and its reason.
+RESERVED = "contains characters the log format reserves"
 ROW_FAULTS = {
-    "empty-id": (lambda sid, ts: ["", "1", "view", "", ts], ValidationError, "student_id"),
-    "comma-id": (lambda sid, ts: ['"s,1"', "1", "view", "", ts], ValidationError, "student_id"),
-    "quote-id": (lambda sid, ts: ['"s""1"', "1", "view", "", ts], ValidationError, "student_id"),
-    "timestamp-text": (lambda sid, ts: [sid, "1", "view", "", "1.5"], ParseError, None),
+    "empty-id": (lambda sid, ts: ["", "1", "view", "", ts], ValidationError, "student_id",
+                 "student_id must be non-empty"),
+    "comma-id": (lambda sid, ts: ['"s,1"', "1", "view", "", ts], ValidationError, "student_id",
+                 f"student_id 's,1' {RESERVED}"),
+    "quote-id": (lambda sid, ts: ['"s""1"', "1", "view", "", ts], ValidationError, "student_id",
+                 f"student_id 's\"1' {RESERVED}"),
+    "timestamp-text": (lambda sid, ts: [sid, "1", "view", "", "1.5"], ParseError, None,
+                       "timestamp_ms must be an integer, got '1.5'"),
     "timestamp-negative": (lambda sid, ts: [sid, "1", "view", "", "-1"], ValidationError,
-                           "timestamp_ms"),
+                           "timestamp_ms", "timestamp_ms must be a non-negative integer"),
     "timestamp-too-large": (lambda sid, ts: [sid, "1", "view", "", str(MAX_TIMESTAMP_MS + 1)],
-                            ValidationError, "timestamp_ms"),
-    "unknown-kind": (lambda sid, ts: [sid, "1", "click", "", ts], ValidationError, "event"),
-    "question-text": (lambda sid, ts: [sid, "one", "view", "", ts], ParseError, None),
+                            ValidationError, "timestamp_ms",
+                            f"timestamp_ms must not exceed {MAX_TIMESTAMP_MS}"),
+    "unknown-kind": (lambda sid, ts: [sid, "1", "click", "", ts], ValidationError, "event",
+                     "unknown event kind 'click'"),
+    "question-text": (lambda sid, ts: [sid, "one", "view", "", ts], ParseError, None,
+                      "question_id must be an integer, got 'one'"),
     "unknown-question": (lambda sid, ts: [sid, "9", "answer", "a", ts], ValidationError,
-                         "question_id"),
+                         "question_id", "unknown question_id 9"),
     "unknown-option": (lambda sid, ts: [sid, "1", "answer", "z", ts], ValidationError,
-                       "option_id"),
+                       "option_id", "unknown option_id 'z'"),
     "view-with-option": (lambda sid, ts: [sid, "2", "view", "a", ts], ValidationError,
-                         "option_id"),
-    "end-with-question": (lambda sid, ts: [sid, "1", "end", "", ts], ValidationError, "event"),
-    "too-few-fields": (lambda sid, ts: [sid, "1", "view", ts], ParseError, None),
-    "too-many-fields": (lambda sid, ts: [sid, "1", "view", "", ts, ""], ParseError, None),
+                         "option_id", "view rows must leave option_id empty"),
+    "end-with-question": (lambda sid, ts: [sid, "1", "end", "", ts], ValidationError, "event",
+                          "end rows must leave question_id and option_id empty"),
+    "too-few-fields": (lambda sid, ts: [sid, "1", "view", ts], ParseError, None,
+                       "expected 5 fields, got 4"),
+    "too-many-fields": (lambda sid, ts: [sid, "1", "view", "", ts, ""], ParseError, None,
+                        "expected 5 fields, got 6"),
 }
 FRESH_ID = "dup"  # a drawn id may equal it, so the test that adds it assumes none does
 
@@ -78,11 +89,11 @@ def test_row_fault_is_reported_at_its_line(log, fault, data):
     lines, rows = log
     index = data.draw(st.sampled_from(rows))
     student_id, _, _, _, timestamp = lines[index].split(",")
-    make, error, field = ROW_FAULTS[fault]
+    make, error, field, reason = ROW_FAULTS[fault]
     lines[index] = ",".join(make(student_id, timestamp))
     err = parse_error(lines)
     assert type(err) is error
-    assert err.line == index + 1
+    assert (err.reason, err.line) == (reason, index + 1)
     if error is ValidationError:
         assert err.field == field
 

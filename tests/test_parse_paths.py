@@ -123,6 +123,14 @@ def plain_rewrite(text):
 @example(text=f"{HEADER}\ns1,1,view,,5\ns1,1,view,,\r6\n", chunk=64, field_limit=None)
 @example(text=f"{HEADER}\ns1,,end,,5\ns1,1,view,,3\ns1,,end,,6\n", chunk=1, field_limit=None)
 @example(text=f"{HEADER}\ns1,1,view,,7\ns1,,end,,6\n", chunk=1, field_limit=None)
+# Rows that a lookup in the column check's table refuses and the row loop
+# checks against the spec: an option question 3 lacks, a view with an option,
+# a kind in capitals, an end row with a blank question id, an empty option.
+@example(text=f"{HEADER}\ns1,1,view,,5\ns1,03,answer,c,6\n", chunk=64, field_limit=None)
+@example(text=f"{HEADER}\ns1,1,view,,5\ns1, 2,view,a,6\n", chunk=64, field_limit=None)
+@example(text=f"{HEADER}\ns1,1,view,,5\ns1,1,VIEW,,6\n", chunk=1, field_limit=None)
+@example(text=f"{HEADER}\ns1,1,view,,5\ns1, ,end,,6\n", chunk=1, field_limit=None)
+@example(text=f"{HEADER}\ns1,1,view,,5\ns1,1,answer,,6\n", chunk=64, field_limit=None)
 @given(
     text=texts(),
     chunk=st.sampled_from([1, 7, 64, domain_model._CHUNK_CHARS]),

@@ -3,6 +3,7 @@
 sites that the other in-process tests do not reach."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -174,6 +175,11 @@ CASES = [
                  id="comprehension-srt-nan"),
     pytest.param(lambda: comprehension(expected_time_s=0.0), DomainError, None, None,
                  id="comprehension-expected-time"),
+    # Each time is finite, as in QuestionResponse and QuestionSpec.
+    pytest.param(lambda: comprehension(srt_s=math.inf), DomainError, None, None,
+                 id="comprehension-srt-infinite"),
+    pytest.param(lambda: comprehension(expected_time_s=math.inf), DomainError, None, None,
+                 id="comprehension-expected-time-infinite"),
     pytest.param(lambda: max_comprehension_level(2, 3), DomainError, None, None, id="mcl-indices"),
     pytest.param(lambda: effective_comprehension_level(3, 2, 4), DomainError, None, None,
                  id="ecl-indices"),
@@ -196,6 +202,10 @@ CASES = [
                  id="response-time-nan"),
     pytest.param(lambda: classify_response_time(-5.0, 60.0), DomainError, None, None,
                  id="response-time-negative"),
+    pytest.param(lambda: classify_response_time(math.inf, 60.0), DomainError, None, None,
+                 id="response-time-infinite"),
+    pytest.param(lambda: classify_response_time(1.0, math.inf), DomainError, None, None,
+                 id="response-time-expected-infinite"),
     # simulator
     pytest.param(lambda: SplitMix64(1).below(0), DomainError, None, None, id="rng-below-zero"),
     pytest.param(lambda: SplitMix64(1).randint(3, 2), DomainError, None, None, id="rng-empty-range"),
