@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .composite_metrics import priority
+from .composite_metrics import p
 from .domain_model import QuestionnaireSpec
-from .errors import DomainError
+from .errors import DomainError, check_range, check_ranges
 from .isolated_metrics import QuestionSubset, SubsetLike, level_of_disorder
 from .session_derivation import AnswerSequence, QuestionResponse
 
@@ -60,8 +60,8 @@ def build_grouping(student_count: int) -> GroupingScheme:
     Floors are closed, ceilings open, except the last group which also
     contains 1.0.
     """
-    if student_count < 1:
-        raise DomainError("student count must be positive")
+    if isinstance(student_count, bool) or not isinstance(student_count, int) or student_count < 1:
+        raise DomainError(f"student count must be a positive integer, got {student_count!r}")
     k = max(1, math.floor(math.sqrt(student_count) + 0.5))
     bounds = tuple((i / k, (i + 1) / k) for i in range(k))
     return GroupingScheme(k=k, h=1.0 / k, bounds=bounds)
@@ -69,25 +69,19 @@ def build_grouping(student_count: int) -> GroupingScheme:
 
 def assign_group(value: float, scheme: GroupingScheme) -> int:
     """1-based group whose [floor, ceiling) holds the value; 1.0 joins group k."""
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"value must lie in [0, 1], got {value}")
+    check_range("value", value, 0, 1)
     for index, (_, ceiling) in enumerate(scheme.bounds):
         if value < ceiling:
             return index + 1
     return scheme.k
 
 
-def approval_split(values: Iterable[float], threshold: float) -> tuple[int, int]:
+def approval_split(values: Sequence[float], threshold: float) -> tuple[int, int]:
     """Counts (at or above threshold, below threshold)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
-    at_or_above = below = 0
-    for value in values:
-        if value >= threshold:
-            at_or_above += 1
-        else:
-            below += 1
-    return at_or_above, below
+    check_range("threshold", threshold, 0, 1)
+    check_ranges("values", values, 0, 1)
+    at_or_above = sum(value >= threshold for value in values)
+    return at_or_above, len(values) - at_or_above
 
 
 def classify_quadrant(ad: float, qucl: float, threshold: float = 0.5) -> QuadrantLabel:
@@ -96,10 +90,9 @@ def classify_quadrant(ad: float, qucl: float, threshold: float = 0.5) -> Quadran
     Q1 is at-or-above on both axes, Q2 high comprehension only, Q3 low
     on both, Q4 high assurance only.
     """
-    if not 0.0 <= ad <= 1.0 or not 0.0 <= qucl <= 1.0:
-        raise DomainError("quadrant inputs must lie in [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
+    check_range("ad", ad, 0, 1)
+    check_range("qucl", qucl, 0, 1)
+    check_range("threshold", threshold, 0, 1)
     high_ad = ad >= threshold
     high_qucl = qucl >= threshold
     if high_ad and high_qucl:
@@ -132,8 +125,10 @@ def rank_priorities(
                 "element %r has no scores and was excluded from the ranking", element
             )
             continue
-        mean_priority = math.fsum(priority(ts, ws) for ts, ws in pairs) / len(pairs)
-        scored.append((element, mean_priority / 10.0))
+        ts, ws = zip(*pairs)
+        check_ranges("ts", ts, 0, 10)
+        check_ranges("ws", ws, 0, 10)
+        scored.append((element, math.fsum(map(p, ts, ws)) / len(pairs) / 10.0))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return [
         PriorityRanking(element=element, normalized_priority=np, rank=rank)
@@ -158,14 +153,7 @@ def srt_vs_expected(
     for qid in QuestionSubset.of(subset):
         expected = spec.question(qid).expected_time_s
         mean = math.fsum(r[qid].srt_s for r in responses_per_student) / len(responses_per_student)
-        rows.append(
-            SrtComparison(
-                question_id=qid,
-                mean_srt_s=mean,
-                expected_time_s=expected,
-                within_expected=mean <= expected,
-            )
-        )
+        rows.append(SrtComparison(qid, mean, expected, mean <= expected))
     return rows
 
 

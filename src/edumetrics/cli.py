@@ -20,7 +20,7 @@ from typing import NoReturn
 
 from .analytics import build_grouping
 from .domain_model import event_log_csv, parse_event_log, parse_questionnaire
-from .errors import DomainError, EduMetricsError, ParseError
+from .errors import DomainError, EduMetricsError, ParseError, check_range
 from .reporting import (
     ad_vs_qucl_csv,
     attach_group_indices,
@@ -87,8 +87,7 @@ def run_compute(args: argparse.Namespace) -> None:
 
 
 def _compute(args: argparse.Namespace) -> None:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise DomainError(f"--threshold must lie in [0, 1], got {args.threshold}")
+    check_range("--threshold", args.threshold, 0, 1)
 
     spec = _load(args.spec, parse_questionnaire, allow_any_option_count=args.allow_any_option_count)
     sessions = _load(args.events, parse_event_log, spec)

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 from .domain_model import (
     CORRECT_WEIGHT, DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
 )
-from .errors import DomainError
+from .errors import DomainError, check_range, check_ranges
 from .isolated_metrics import QuestionSubset, SubsetLike, assurance_degree
 from .session_derivation import QuestionResponse
 
@@ -70,6 +70,16 @@ def qcl(qdi: int, cdi: int, w: int, srt_s: float, t: float) -> float:
     return ecl / (mcl + (srt_s - t) / t)
 
 
+def qucl(qcls: Sequence[float], ad: float, count: int) -> float:
+    """:func:`questionnaire_comprehension_level`, unchecked."""
+    return math.fsum(qcls) / (count + (1.0 - ad))
+
+
+def p(ts: float, ws: float) -> float:
+    """:func:`priority`, unchecked."""
+    return (10.0 - ts) * ws / 10.0
+
+
 def question_comprehension_level(inp: ComprehensionInputs) -> float:
     """Time-sensitive comprehension of one question, in [0, 1]: :func:`qcl`."""
     return qcl(inp.qdi, inp.cdi, inp.w, inp.srt_s, inp.expected_time_s)
@@ -81,26 +91,26 @@ def questionnaire_comprehension_level(qcls: Sequence[float], ad: float, q_count:
     Sum of the per-question comprehension levels divided by
     ``q_count + (1 - ad)``. Unanswered questions must already be in
     ``qcls`` (their level is 0), keeping the denominator at the full
-    set size.
+    set size. Checks its inputs, then computes :func:`qucl`.
     """
     if q_count == 0:
         raise DomainError("question count must be positive")
     if len(qcls) != q_count:
         raise DomainError(f"need one comprehension level per question, got {len(qcls)} for {q_count}")
-    if not 0.0 <= ad <= 1.0:
-        raise DomainError(f"assurance degree must lie in [0, 1], got {ad}")
-    return math.fsum(qcls) / (q_count + (1.0 - ad))
+    check_ranges("qcls", qcls, 0, 1)
+    check_range("ad", ad, 0, 1)
+    return qucl(qcls, ad, q_count)
 
 
 def priority(ts: float, ws: float) -> float:
     """Study priority of a question set: (10 - ts) * ws / 10.
 
     High when many answers were near misses: much left to learn (low
-    ts) that is already close (high ws).
+    ts) that is already close (high ws). Checks its inputs, then computes :func:`p`.
     """
-    if not 0.0 <= ts <= 10.0 or not 0.0 <= ws <= 10.0:
-        raise DomainError("scores must lie in [0, 10]")
-    return (10.0 - ts) * ws / 10.0
+    check_range("ts", ts, 0, 10)
+    check_range("ws", ws, 0, 10)
+    return p(ts, ws)
 
 
 def comprehension_for_response(response: QuestionResponse, question: QuestionSpec) -> float:

@@ -180,17 +180,11 @@ class QuestionnaireSpec:
 
     def subjects(self) -> tuple[str, ...]:
         """Distinct subjects in order of first appearance."""
-        seen: dict[str, None] = {}
-        for question in self.questions:
-            seen.setdefault(question.subject, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(q.subject for q in self.questions))
 
     def topics(self) -> tuple[int, ...]:
         """Distinct topic ids, ascending."""
-        found: set[int] = set()
-        for question in self.questions:
-            found.update(question.topic_ids)
-        return tuple(sorted(found))
+        return tuple(sorted({t for q in self.questions for t in q.topic_ids}))
 
     @cached_property
     def subset_layout(self) -> tuple[tuple[str, str | int | None, tuple[int, ...]], ...]:

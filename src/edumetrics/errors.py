@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 
 class EduMetricsError(Exception):
     """Base class for every error raised by this package."""
@@ -9,6 +12,20 @@ class EduMetricsError(Exception):
 
 class DomainError(EduMetricsError):
     """An operation was called with values outside its domain."""
+
+
+def check_range(name: str, value: float, lo: float, hi: float) -> None:
+    """Raise ``DomainError`` unless ``value`` lies in [lo, hi]. The bounds are
+    finite, so every accepted value is too; NaN fails every comparison."""
+    if not lo <= value <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
+def check_ranges(name: str, values: Sequence[float], lo: float, hi: float) -> None:
+    """:func:`check_range` of each value; ``min([0.5, nan])`` is 0.5, hence ``isnan``."""
+    if values and not lo <= min(values) <= max(values) <= hi or any(map(math.isnan, values)):
+        for value in values:
+            check_range(name, value, lo, hi)
 
 
 class ParseError(EduMetricsError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .domain_model import QuestionnaireSpec
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .session_derivation import AnswerSequence, QuestionResponse
 
 SubsetLike = Union["QuestionSubset", Iterable[int]]
@@ -100,8 +100,7 @@ def traditional_score(
 
 def error_rate(ts: float) -> float:
     """Complement of the traditional score, on the [0, 1] scale."""
-    if not 0.0 <= ts <= 10.0:
-        raise DomainError(f"traditional score must lie in [0, 10], got {ts}")
+    check_range("ts", ts, 0, 10)
     return 1.0 - ts / 10.0
 
 

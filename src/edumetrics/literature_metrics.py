@@ -4,13 +4,14 @@ difficulty level."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
 from .composite_metrics import check_times
 from .domain_model import DIFFICULTY_INDICES, FAST_FRACTION, LU_DEVIATIONS
-from .errors import DomainError
+from .errors import DomainError, check_ranges
 
 
 class ResponseTimeClass(IntEnum):
@@ -48,8 +49,7 @@ class ScoreSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scores", tuple(self.scores))
-        if any(not 0.0 <= s <= 10.0 for s in self.scores):
-            raise DomainError("scores must lie in [0, 10]")
+        check_ranges("scores", self.scores, 0, 10)
 
 
 def level_of_understanding(inp: LuInputs) -> float:
@@ -84,7 +84,10 @@ def student_learning_rate(series: ScoreSeries) -> float:
 
 def difficulty_level(slrs: Sequence[float]) -> float:
     """Mean learning rate over all students of one element: the same float
-    as ``statistics.fmean(slrs)``."""
+    as ``statistics.fmean(slrs)``. Each rate lies within
+    ``sys.float_info.max / len(slrs)`` of 0, so that their sum cannot overflow."""
     if not slrs:
         raise DomainError("difficulty level needs at least one learning rate")
+    bound = sys.float_info.max / len(slrs)
+    check_ranges("slrs", slrs, -bound, bound)
     return math.fsum(slrs) / len(slrs)

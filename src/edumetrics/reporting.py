@@ -36,7 +36,7 @@ from .analytics import (
     classify_quadrant,
     rank_priorities,
 )
-from .composite_metrics import priority, qcl, questionnaire_comprehension_level
+from .composite_metrics import p, qcl, qucl
 from .domain_model import (
     CORRECT_WEIGHT,
     SCOPE_QUESTIONNAIRE,
@@ -127,16 +127,16 @@ def compute_student(
 ) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
-    Each per-question fact is computed once, the qcl by the unchecked
-    :func:`qcl`; each row of ``spec.subset_layout`` sums them in the subset's
-    order, as the metric definitions do. A subset's answers make one
-    transition fewer than its markings, all in order inside a run of answers
-    to one question, so one walk of the runs' heads counts only the
-    step-downs for disorder (answers after one to a larger id).
-    Difficulty indices and expected times are checked once per spec, when it
-    is built; answer weights when each ``AnswerOption`` is; ad, ts and ws per
-    subset. Times need no check: a ``StudentSession`` keeps its events in time
-    order and its end at or after the last one, so every gap is >= 0.
+    Each per-question fact is computed once; each row of ``spec.subset_layout``
+    sums them in the subset's order, as the metric definitions do. A subset's
+    answers make one transition fewer than its markings, all in order inside a
+    run of answers to one question, so one walk of the runs' heads counts only
+    the step-downs for disorder (answers after one to a larger id).
+    The formulas :func:`qcl`, :func:`qucl` and :func:`p` run unchecked, as
+    every input is in range by construction: difficulty indices and expected
+    times are checked once per spec, answer weights in each ``AnswerOption``;
+    ts, ws and ad are ratios of counts; a ``StudentSession`` keeps its events
+    in time order and its end at or after the last one, so every gap is >= 0.
     """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
@@ -174,8 +174,8 @@ def compute_student(
             scope, element, ts, ws, ad,
             math.fsum(srts),  # srt_s
             transition_entropy(transitions - steps_down, steps_down),  # disorder
-            questionnaire_comprehension_level(qcls, ad, count),  # qucl
-            priority(ts, ws),
+            qucl(qcls, ad, count),
+            p(ts, ws),  # priority
         ))
 
     overall = subset_rows[0]

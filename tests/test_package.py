@@ -1,8 +1,12 @@
 """The package's public names: some resolve on first use, all as before."""
 
+from pathlib import Path
+
 import pytest
 
 import edumetrics
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Every name the package exported when all its modules loaded with it.
 PUBLIC_NAMES = (
@@ -60,3 +64,10 @@ def test_dir_and_star_import_list_every_public_name(unresolved):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'edumetrics' has no attribute 'no_such'$"):
         edumetrics.no_such
+
+
+def test_range_rule_is_spelled_only_in_errors():
+    """Every metric range check goes through ``errors.check_range``: no other
+    module writes the rule's message itself."""
+    spelled = {p.name for p in SRC.rglob("*.py") if "must lie in" in p.read_text(encoding="utf-8")}
+    assert spelled == {"errors.py"}

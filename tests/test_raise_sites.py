@@ -2,12 +2,16 @@
 ``line`` that locate it where the error carries them. The table covers raise
 sites that the other in-process tests do not reach."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
+from functools import partial
+from typing import get_args, get_type_hints
 
 import pytest
 
+import edumetrics
 from edumetrics import (
     AnswerOption,
     AssessmentEvent,
@@ -19,21 +23,27 @@ from edumetrics import (
     QuestionResponse,
     QuestionSubset,
     QuestionnaireSpec,
+    ScoreSeries,
     SimulationError,
     SplitMix64,
     SrtMode,
     StudentSession,
     ValidationError,
     approval_split,
+    assign_group,
     build_grouping,
     classify_quadrant,
     classify_response_time,
     derive_responses,
+    difficulty_level,
     effective_comprehension_level,
+    error_rate,
     max_comprehension_level,
     parse_event_log,
     parse_questionnaire,
+    priority,
     questionnaire_comprehension_level,
+    rank_priorities,
     simulate_class,
     simulate_student,
     traditional_score,
@@ -45,6 +55,7 @@ QUESTION = make_question(1, subject="Maths", topics=(1,))
 SPEC = make_spec([QUESTION])
 PROFILE = BehaviorProfile(kind=BehaviorKind.ASSURED, seed=1)
 NAN = float("nan")
+INF = math.inf
 
 
 def event(**over):
@@ -159,7 +170,16 @@ CASES = [
                  "event", 4, id="log-duplicate-end"),
     # analytics
     pytest.param(lambda: build_grouping(0), DomainError, None, None, id="grouping-no-students"),
+    pytest.param(lambda: build_grouping(2.5), DomainError, None, None, id="grouping-count-float"),
+    pytest.param(lambda: build_grouping(True), DomainError, None, None,
+                 id="grouping-count-boolean"),
+    pytest.param(lambda: build_grouping(INF), DomainError, None, None,
+                 id="grouping-count-infinite"),
     pytest.param(lambda: approval_split([0.5], 1.5), DomainError, None, None, id="approval-threshold"),
+    pytest.param(lambda: approval_split([NAN], 0.5), DomainError, None, None,
+                 id="approval-value-nan"),
+    pytest.param(lambda: approval_split([INF], 0.5), DomainError, None, None,
+                 id="approval-value-infinite"),
     pytest.param(lambda: classify_quadrant(1.5, 0.5), DomainError, None, None, id="quadrant-ad"),
     pytest.param(lambda: classify_quadrant(0.5, -0.1), DomainError, None, None, id="quadrant-qucl"),
     pytest.param(lambda: classify_quadrant(0.9, 0.9, NAN), DomainError, None, None,
@@ -187,6 +207,10 @@ CASES = [
                  id="ecl-weight"),
     pytest.param(lambda: questionnaire_comprehension_level([0.5], 1.5, 1), DomainError, None, None,
                  id="qucl-assurance"),
+    pytest.param(lambda: questionnaire_comprehension_level([NAN], 0.5, 1), DomainError, None, None,
+                 id="qucl-level-nan"),
+    pytest.param(lambda: questionnaire_comprehension_level([5.0], 1.0, 1), DomainError, None, None,
+                 id="qucl-level-above-one"),
     # isolated_metrics
     pytest.param(lambda: QuestionSubset((1, 1)), DomainError, None, None, id="subset-duplicate"),
     pytest.param(lambda: QuestionSubset.for_subject(SPEC, "History"), DomainError, None, None,
@@ -206,6 +230,14 @@ CASES = [
                  id="response-time-infinite"),
     pytest.param(lambda: classify_response_time(1.0, math.inf), DomainError, None, None,
                  id="response-time-expected-infinite"),
+    pytest.param(lambda: difficulty_level([INF]), DomainError, None, None,
+                 id="difficulty-infinite"),
+    # Finite rates whose sum overflows: math.fsum would raise OverflowError.
+    pytest.param(lambda: difficulty_level([1.7e308, 1.7e308]), DomainError, None, None,
+                 id="difficulty-sum-overflow"),
+    # A NaN after the first score, where min and max alone would miss it.
+    pytest.param(lambda: ScoreSeries("s1", "Maths", (5.0, NAN)), DomainError, None, None,
+                 id="score-series-nan"),
     # simulator
     pytest.param(lambda: SplitMix64(1).below(0), DomainError, None, None, id="rng-below-zero"),
     pytest.param(lambda: SplitMix64(1).randint(3, 2), DomainError, None, None, id="rng-empty-range"),
@@ -244,6 +276,58 @@ CASES = [
 ]
 
 
+# Each exported function that takes a float: a valid call, and the range of
+# each numeric parameter, (low, high). Every accepted number is finite, so an
+# infinite bound is open; so is the expected time's 0.
+FLOAT_INPUTS = {
+    approval_split: (([0.5, 0.5], 0.5), {"values": (0, 1), "threshold": (0, 1)}),
+    assign_group: ((0.5, build_grouping(4)), {"value": (0, 1)}),
+    classify_quadrant: ((0.5, 0.5, 0.5), {"ad": (0, 1), "qucl": (0, 1), "threshold": (0, 1)}),
+    classify_response_time: ((10.0, 60.0), {"srt_s": (0, INF), "expected_time_s": (0, INF)}),
+    difficulty_level: (([0.5, 0.5],), {"slrs": (-INF, INF)}),
+    error_rate: ((5.0,), {"ts": (0, 10)}),
+    priority: ((5.0, 5.0), {"ts": (0, 10), "ws": (0, 10)}),
+    questionnaire_comprehension_level: (([0.5, 0.5], 0.5, 2), {"qcls": (0, 1), "ad": (0, 1)}),
+    rank_priorities: (({"Maths": [(5.0, 5.0)]},), {"per_element_ts_ws": (0, 10)}),
+}
+
+
+def valid_arguments(function) -> dict:
+    """The arguments of the table's valid call of ``function``, by parameter name."""
+    return inspect.signature(function).bind(*FLOAT_INPUTS[function][0]).arguments
+
+
+def with_each(value, x):
+    """Copies of ``value`` with one of its numbers replaced by ``x``, one copy per number."""
+    if isinstance(value, (int, float)):
+        yield x
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            for new in with_each(item, x):
+                yield {**value, key: new}
+    else:
+        for i, item in enumerate(value):
+            for new in with_each(item, x):
+                yield type(value)([*value[:i], new, *value[i + 1:]])
+
+
+def range_cases():
+    """Per numeric input: NaN, both infinities and a finite value past each
+    finite bound, in each position of a sequence, in an otherwise valid call."""
+    for function, (_, ranges) in FLOAT_INPUTS.items():
+        arguments = valid_arguments(function)
+        for name, (lo, hi) in ranges.items():
+            bad = [NAN, INF, -INF] + [b for b in (lo - 1, hi + 1) if math.isfinite(b)]
+            for x in bad:
+                for i, value in enumerate(with_each(arguments[name], x)):
+                    call = partial(function, **{**arguments, name: value})
+                    yield pytest.param(call, DomainError, None, None,
+                                       id=f"{function.__name__}-{name}-{x}-{i}")
+
+
+CASES += range_cases()
+
+
 @pytest.mark.parametrize("call, error, field, line", CASES)
 def test_raise_site(call, error, field, line):
     with pytest.raises(error) as err:
@@ -251,3 +335,26 @@ def test_raise_site(call, error, field, line):
     assert type(err.value) is error
     if error is ValidationError:
         assert (err.value.field, err.value.line) == (field, line)
+
+
+@pytest.mark.parametrize("function", FLOAT_INPUTS, ids=lambda function: function.__name__)
+def test_float_inputs_valid_call_passes(function):
+    function(**valid_arguments(function))
+
+
+def mentions_float(hint) -> bool:
+    return hint is float or any(map(mentions_float, get_args(hint)))
+
+
+def test_float_inputs_cover_every_exported_float_parameter():
+    """A new exported function, or a new parameter, that takes a float needs a row."""
+    takes_float = {}
+    for name in edumetrics.__all__:
+        function = getattr(edumetrics, name)
+        if inspect.isfunction(function):
+            hints = get_type_hints(function)
+            hints.pop("return", None)
+            params = {param for param, hint in hints.items() if mentions_float(hint)}
+            if params:
+                takes_float[name] = params
+    assert takes_float == {f.__name__: set(ranges) for f, (_, ranges) in FLOAT_INPUTS.items()}
