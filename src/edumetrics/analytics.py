@@ -115,7 +115,7 @@ def rank_priorities(
     break on ascending element id. Elements with no pairs are dropped with a
     warning.
     """
-    scored = []
+    scored = {}
     for element, pairs in per_element_ts_ws.items():
         if not pairs:
             # Imported here: no class report drops an element, so compute never loads logging.
@@ -128,12 +128,14 @@ def rank_priorities(
         ts, ws = zip(*pairs)
         check_ranges("ts", ts, 0, 10)
         check_ranges("ws", ws, 0, 10)
-        scored.append((element, math.fsum(map(p, ts, ws)) / len(pairs) / 10.0))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return [
-        PriorityRanking(element=element, normalized_priority=np, rank=rank)
-        for rank, (element, np) in enumerate(scored, start=1)
-    ]
+        scored[element] = math.fsum(map(p, ts, ws)) / len(pairs) / 10.0
+    return rank_normalized(scored)
+
+
+def rank_normalized(priorities: Mapping[str | int, float]) -> list[PriorityRanking]:
+    """Rank known normalized priorities as :func:`rank_priorities` does, unchecked."""
+    order = sorted(priorities.items(), key=lambda item: (-item[1], item[0]))
+    return [PriorityRanking(element, np, rank) for rank, (element, np) in enumerate(order, start=1)]
 
 
 def srt_vs_expected(

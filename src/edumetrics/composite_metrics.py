@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 from .domain_model import (
     CORRECT_WEIGHT, DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
 )
-from .errors import DomainError, check_range, check_ranges
+from .errors import DomainError, check_range, check_ranges, check_times
 from .isolated_metrics import QuestionSubset, SubsetLike, assurance_degree
 from .session_derivation import QuestionResponse
 
@@ -27,14 +27,6 @@ class ComprehensionInputs:
     def __post_init__(self) -> None:
         effective_comprehension_level(self.qdi, self.cdi, self.w)  # checks the indices and w
         check_times(self.srt_s, self.expected_time_s)
-
-
-def check_times(srt_s: float, expected_time_s: float) -> None:
-    """A response time is finite and non-negative, an expected time finite and positive."""
-    if not 0 <= srt_s < math.inf:
-        raise DomainError("response time must be finite and non-negative")
-    if not 0 < expected_time_s < math.inf:
-        raise DomainError("expected time must be positive and finite")
 
 
 def effective_comprehension_level(qdi: int, cdi: int, w: int) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
@@ -35,7 +34,7 @@ from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import FLOAT_MAX, ParseError, ValidationError
 
 WS_WEIGHTS = (0, 1, 2, 3, 4)
 LU_DEVIATIONS = (0, 2, 3, 4, 5)
@@ -297,7 +296,7 @@ def _check_timestamp_ms(value: int, field: str) -> None:
 
 def _check_seconds(value: float, field: str, question_id: int | None = None) -> None:
     """A time in the spec is a positive, finite number, not a bool."""
-    if isinstance(value, bool) or not 0 < value < math.inf:
+    if isinstance(value, bool) or not 0 < value <= FLOAT_MAX:
         raise ValidationError(
             f"{field} must be positive and finite", field=field, question_id=question_id
         )

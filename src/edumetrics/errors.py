@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 
@@ -14,9 +15,12 @@ class DomainError(EduMetricsError):
     """An operation was called with values outside its domain."""
 
 
+FLOAT_MAX = sys.float_info.max
+
+
 def check_range(name: str, value: float, lo: float, hi: float) -> None:
-    """Raise ``DomainError`` unless ``value`` lies in [lo, hi]. The bounds are
-    finite, so every accepted value is too; NaN fails every comparison."""
+    """Raise ``DomainError`` unless ``value`` lies in [lo, hi]. The bounds lie in [-FLOAT_MAX,
+    FLOAT_MAX], so no infinity, NaN or int too large for a float is accepted."""
     if not lo <= value <= hi:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
@@ -26,6 +30,13 @@ def check_ranges(name: str, values: Sequence[float], lo: float, hi: float) -> No
     if values and not lo <= min(values) <= max(values) <= hi or any(map(math.isnan, values)):
         for value in values:
             check_range(name, value, lo, hi)
+
+
+def check_times(srt_s: float, expected_time_s: float) -> None:
+    """Both times are finite, the response time >= 0 and the expected time > 0,
+    which for an int or float is >= ``math.ulp(0.0)``, the smallest positive float."""
+    check_range("srt_s", srt_s, 0, FLOAT_MAX)
+    check_range("expected_time_s", expected_time_s, math.ulp(0.0), FLOAT_MAX)
 
 
 class ParseError(EduMetricsError):

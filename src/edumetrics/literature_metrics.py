@@ -4,14 +4,12 @@ difficulty level."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
-from .composite_metrics import check_times
 from .domain_model import DIFFICULTY_INDICES, FAST_FRACTION, LU_DEVIATIONS
-from .errors import DomainError, check_ranges
+from .errors import FLOAT_MAX, DomainError, check_ranges, check_times
 
 
 class ResponseTimeClass(IntEnum):
@@ -85,9 +83,8 @@ def student_learning_rate(series: ScoreSeries) -> float:
 def difficulty_level(slrs: Sequence[float]) -> float:
     """Mean learning rate over all students of one element: the same float
     as ``statistics.fmean(slrs)``. Each rate lies within
-    ``sys.float_info.max / len(slrs)`` of 0, so that their sum cannot overflow."""
+    ``FLOAT_MAX / len(slrs)`` of 0, so that their sum cannot overflow."""
     if not slrs:
         raise DomainError("difficulty level needs at least one learning rate")
-    bound = sys.float_info.max / len(slrs)
-    check_ranges("slrs", slrs, -bound, bound)
+    check_ranges("slrs", slrs, -FLOAT_MAX / len(slrs), FLOAT_MAX / len(slrs))
     return math.fsum(slrs) / len(slrs)

@@ -34,7 +34,7 @@ from .analytics import (
     approval_split,
     assign_group,
     classify_quadrant,
-    rank_priorities,
+    rank_normalized,
 )
 from .composite_metrics import p, qcl, qucl
 from .domain_model import (
@@ -220,12 +220,13 @@ def _columns(
 def _ranking_rows(
     reports: Sequence[StudentMetricsReport], spec: QuestionnaireSpec, scope: str
 ) -> list[dict]:
-    pairs = {
-        element: [(r.ts, r.ws) for r in rows] for element, _, rows in _columns(reports, spec, scope)
+    priorities = {
+        element: math.fsum(row.priority for row in rows) / len(rows) / 10.0
+        for element, _, rows in _columns(reports, spec, scope)
     }
     return [
         {"rank": r.rank, scope: r.element, "normalized_priority": r.normalized_priority}
-        for r in rank_priorities(pairs)
+        for r in rank_normalized(priorities)
     ]
 
 

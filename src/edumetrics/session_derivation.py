@@ -7,7 +7,6 @@ returned values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
@@ -15,7 +14,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
-from .errors import DomainError
+from .errors import FLOAT_MAX, DomainError, check_range
 
 # An event carries an option id exactly when it is an answer (checked by
 # AssessmentEvent.__new__ and by parse_event_log), so filter(_OPTION_ID,
@@ -56,8 +55,7 @@ class QuestionResponse:
             raise DomainError(f"markings must be non-negative, got {self.markings}")
         if (self.final_option is not None) != (self.markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
-        if not 0.0 <= self.srt_s < math.inf:
-            raise DomainError(f"srt_s must be finite and non-negative, got {self.srt_s}")
+        check_range("srt_s", self.srt_s, 0, FLOAT_MAX)
 
     @property
     def is_correct(self) -> bool:

@@ -71,3 +71,11 @@ def test_range_rule_is_spelled_only_in_errors():
     module writes the rule's message itself."""
     spelled = {p.name for p in SRC.rglob("*.py") if "must lie in" in p.read_text(encoding="utf-8")}
     assert spelled == {"errors.py"}
+
+
+def test_finite_is_spelled_only_in_errors():
+    """``errors.FLOAT_MAX`` is the one spelling of "finite": ``math.inf`` lets
+    an int too large for a float past a ``< math.inf`` check."""
+    texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.rglob("*.py")}
+    assert [name for name, text in texts.items() if "math.inf" in text] == []
+    assert {name for name, text in texts.items() if "float_info" in text} == {"errors.py"}

@@ -56,6 +56,7 @@ SPEC = make_spec([QUESTION])
 PROFILE = BehaviorProfile(kind=BehaviorKind.ASSURED, seed=1)
 NAN = float("nan")
 INF = math.inf
+HUGE = 10**400  # an int too large for a float: math.inf exceeds it, float() overflows
 
 
 def event(**over):
@@ -114,6 +115,10 @@ CASES = [
                  "expected_time_s", None, id="question-expected-time-boolean"),
     pytest.param(lambda: QuestionnaireSpec("q", (QUESTION,), True), ValidationError,
                  "max_total_time_s", None, id="questionnaire-time-boolean"),
+    pytest.param(lambda: replace(QUESTION, expected_time_s=HUGE), ValidationError,
+                 "expected_time_s", None, id="question-expected-time-huge"),
+    pytest.param(lambda: QuestionnaireSpec("q", (QUESTION,), HUGE), ValidationError,
+                 "max_total_time_s", None, id="questionnaire-time-huge"),
     pytest.param(lambda: replace(QUESTION, options=()), ValidationError, "options", None,
                  id="question-without-options"),
     pytest.param(lambda: replace(QUESTION, options=(make_option("a", 4), make_option("a", 0))),
@@ -195,11 +200,15 @@ CASES = [
                  id="comprehension-srt-nan"),
     pytest.param(lambda: comprehension(expected_time_s=0.0), DomainError, None, None,
                  id="comprehension-expected-time"),
-    # Each time is finite, as in QuestionResponse and QuestionSpec.
+    # Each time is finite: errors.check_times states the rule, with errors.FLOAT_MAX.
     pytest.param(lambda: comprehension(srt_s=math.inf), DomainError, None, None,
                  id="comprehension-srt-infinite"),
     pytest.param(lambda: comprehension(expected_time_s=math.inf), DomainError, None, None,
                  id="comprehension-expected-time-infinite"),
+    pytest.param(lambda: comprehension(srt_s=HUGE), DomainError, None, None,
+                 id="comprehension-srt-huge"),
+    pytest.param(lambda: comprehension(expected_time_s=HUGE), DomainError, None, None,
+                 id="comprehension-expected-time-huge"),
     pytest.param(lambda: max_comprehension_level(2, 3), DomainError, None, None, id="mcl-indices"),
     pytest.param(lambda: effective_comprehension_level(3, 2, 4), DomainError, None, None,
                  id="ecl-indices"),
@@ -265,6 +274,8 @@ CASES = [
                  id="response-srt-negative"),
     pytest.param(lambda: QuestionResponse(1, 0, None, float("inf")), DomainError, None, None,
                  id="response-srt-infinite"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, HUGE), DomainError, None, None,
+                 id="response-srt-huge"),
     # Question 9 of the one-question SPEC, in an event the mode reads.
     pytest.param(lambda: derive_responses(session(question_id=9), SPEC, SrtMode.VIEW_INTERVALS),
                  DomainError, None, None, id="derive-view-unknown-question"),
@@ -312,17 +323,18 @@ def with_each(value, x):
 
 
 def range_cases():
-    """Per numeric input: NaN, both infinities and a finite value past each
-    finite bound, in each position of a sequence, in an otherwise valid call."""
+    """Per numeric input: NaN, both infinities, an int too large for a float of
+    each sign and a finite value past each finite bound, in each position of a
+    sequence, in an otherwise valid call."""
     for function, (_, ranges) in FLOAT_INPUTS.items():
         arguments = valid_arguments(function)
         for name, (lo, hi) in ranges.items():
             bad = [NAN, INF, -INF] + [b for b in (lo - 1, hi + 1) if math.isfinite(b)]
-            for x in bad:
+            for x, shown in [*((b, b) for b in bad), (HUGE, "huge"), (-HUGE, "-huge")]:
                 for i, value in enumerate(with_each(arguments[name], x)):
                     call = partial(function, **{**arguments, name: value})
                     yield pytest.param(call, DomainError, None, None,
-                                       id=f"{function.__name__}-{name}-{x}-{i}")
+                                       id=f"{function.__name__}-{name}-{shown}-{i}")
 
 
 CASES += range_cases()
