@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .composite_metrics import p
 from .domain_model import QuestionnaireSpec
-from .errors import DomainError, check_range, check_ranges
+from .errors import DomainError, check_int, check_range, check_ranges
 from .isolated_metrics import QuestionSubset, SubsetLike, level_of_disorder
 from .session_derivation import AnswerSequence, QuestionResponse
 
@@ -60,8 +60,7 @@ def build_grouping(student_count: int) -> GroupingScheme:
     Floors are closed, ceilings open, except the last group which also
     contains 1.0.
     """
-    if isinstance(student_count, bool) or not isinstance(student_count, int) or student_count < 1:
-        raise DomainError(f"student count must be a positive integer, got {student_count!r}")
+    check_int("student_count", student_count, 1)
     k = max(1, math.floor(math.sqrt(student_count) + 0.5))
     bounds = tuple((i / k, (i + 1) / k) for i in range(k))
     return GroupingScheme(k=k, h=1.0 / k, bounds=bounds)
@@ -172,7 +171,7 @@ def disorder_summary(
     if not sequences:
         raise DomainError("need at least one student")
     if question_ids is not None:
-        keep = tuple(question_ids)
+        keep = QuestionSubset.of(question_ids)
         sequences = [s.restricted_to(keep) for s in sequences]
     disorders = [level_of_disorder(s) for s in sequences]
     average = math.fsum(disorders) / len(disorders)

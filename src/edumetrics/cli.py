@@ -20,7 +20,7 @@ from typing import NoReturn
 
 from .analytics import build_grouping
 from .domain_model import event_log_csv, parse_event_log, parse_questionnaire
-from .errors import DomainError, EduMetricsError, ParseError, check_range
+from .errors import EduMetricsError, ParseError, check_int, check_range
 from .reporting import (
     ad_vs_qucl_csv,
     attach_group_indices,
@@ -120,10 +120,8 @@ def _compute(args: argparse.Namespace) -> None:
 def run_simulate(args: argparse.Namespace) -> None:
     from .simulator import MASK64, profile_from_name, simulate_class
 
-    if not 0 <= args.seed <= MASK64:
-        raise DomainError("--seed must fit in 64 bits")
-    if args.count < 0:
-        raise DomainError("--count must be non-negative")
+    check_int("--seed", args.seed, 0, MASK64)
+    check_int("--count", args.count, 0)
     profile = profile_from_name(args.profile, args.seed)
     spec = _load(args.spec, parse_questionnaire, allow_any_option_count=args.allow_any_option_count)
     _write_text(Path(args.out), event_log_csv(simulate_class(profile, spec, args.count)))

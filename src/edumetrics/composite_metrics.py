@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 from .domain_model import (
     CORRECT_WEIGHT, DIFFICULTY_INDICES, FAST_FRACTION, WS_WEIGHTS, QuestionSpec, QuestionnaireSpec,
 )
-from .errors import DomainError, check_range, check_ranges, check_times
+from .errors import DomainError, check_int, check_range, check_ranges, check_times, shown
 from .isolated_metrics import QuestionSubset, SubsetLike, assurance_degree
 from .session_derivation import QuestionResponse
 
@@ -31,10 +31,9 @@ class ComprehensionInputs:
 
 def effective_comprehension_level(qdi: int, cdi: int, w: int) -> float:
     """Comprehension actually shown: qdi * cdi * answer weight."""
-    if qdi not in DIFFICULTY_INDICES or cdi not in DIFFICULTY_INDICES:
-        raise DomainError(f"difficulty indices must be one of {DIFFICULTY_INDICES}")
-    if w not in WS_WEIGHTS:
-        raise DomainError(f"answer weight must be one of {WS_WEIGHTS}, got {w}")
+    check_int("qdi", qdi, one_of=DIFFICULTY_INDICES)
+    check_int("cdi", cdi, one_of=DIFFICULTY_INDICES)
+    check_int("w", w, one_of=WS_WEIGHTS)
     return float(qdi * cdi * w)
 
 
@@ -85,10 +84,9 @@ def questionnaire_comprehension_level(qcls: Sequence[float], ad: float, q_count:
     ``qcls`` (their level is 0), keeping the denominator at the full
     set size. Checks its inputs, then computes :func:`qucl`.
     """
-    if q_count == 0:
-        raise DomainError("question count must be positive")
+    check_int("q_count", q_count, 1)
     if len(qcls) != q_count:
-        raise DomainError(f"need one comprehension level per question, got {len(qcls)} for {q_count}")
+        raise DomainError(f"need one level per question, got {len(qcls)} for {shown(q_count)}")
     check_ranges("qcls", qcls, 0, 1)
     check_range("ad", ad, 0, 1)
     return qucl(qcls, ad, q_count)

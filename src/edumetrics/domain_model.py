@@ -34,7 +34,7 @@ from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FLOAT_MAX, ParseError, ValidationError
+from .errors import FLOAT_MAX, ParseError, ValidationError, is_int, shown
 
 WS_WEIGHTS = (0, 1, 2, 3, 4)
 LU_DEVIATIONS = (0, 2, 3, 4, 5)
@@ -103,7 +103,7 @@ class QuestionSpec:
     def __post_init__(self) -> None:
         qid = self.question_id
         topic_ids = list(self.topic_ids)  # first, and as given: a frozenset merges True with 1
-        if any(isinstance(t, bool) or not isinstance(t, int) for t in topic_ids):
+        if not all(map(is_int, topic_ids)):
             raise ValidationError("topic_ids must be integers", field="topic_ids", question_id=qid)
         if len(set(topic_ids)) != len(topic_ids):
             raise ValidationError("duplicate topic_id", field="topic_ids", question_id=qid)
@@ -158,7 +158,7 @@ class QuestionnaireSpec:
         for position, question in enumerate(self.questions, start=1):
             if question.question_id != position:
                 raise ValidationError(
-                    f"question ids must be contiguous from 1, found {question.question_id} "
+                    f"question ids must be contiguous from 1, found {shown(question.question_id)} "
                     f"at position {position}",
                     field="question_id",
                     question_id=question.question_id,
@@ -170,11 +170,9 @@ class QuestionnaireSpec:
         return len(self.questions)
 
     def question(self, question_id: int) -> QuestionSpec:
-        if not isinstance(question_id, int) or not 1 <= question_id <= len(self.questions):
-            raise ValidationError(
-                f"unknown question_id {question_id!r}", field="question_id",
-                question_id=question_id if isinstance(question_id, int) else None,
-            )
+        if not is_int(question_id) or not 1 <= question_id <= len(self.questions):
+            raise ValidationError(f"unknown question_id {shown(question_id)}", field="question_id",
+                                  question_id=question_id if is_int(question_id) else None)
         return self.questions[question_id - 1]
 
     def subjects(self) -> tuple[str, ...]:
@@ -274,7 +272,7 @@ def _check_student_id(student_id: str) -> None:
 
 def _check_question_id(question_id: int) -> None:
     """A question id is a positive int, not a bool."""
-    if isinstance(question_id, bool) or not isinstance(question_id, int) or question_id < 1:
+    if not is_int(question_id) or question_id < 1:
         raise ValidationError("question_id must be a positive integer", field="question_id")
 
 
@@ -288,7 +286,7 @@ def _check_option_id(option_id: str) -> None:
 
 def _check_timestamp_ms(value: int, field: str) -> None:
     """A time in the log is an int, not a bool, in [0, MAX_TIMESTAMP_MS]."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not is_int(value) or value < 0:
         raise ValidationError(f"{field} must be a non-negative integer", field=field)
     if value > MAX_TIMESTAMP_MS:
         raise ValidationError(f"{field} must not exceed {MAX_TIMESTAMP_MS}", field=field)
@@ -303,11 +301,10 @@ def _check_seconds(value: float, field: str, question_id: int | None = None) -> 
 
 
 def _check_member(value: int, allowed: tuple, field: str, question_id: int | None = None) -> None:
-    """A value from a fixed set is one of ``allowed``, not a bool."""
-    if isinstance(value, bool) or value not in allowed:
-        raise ValidationError(
-            f"{field} must be one of {allowed}, got {value}", field=field, question_id=question_id
-        )
+    """A value from a fixed set is an int, not a bool, of ``allowed``."""
+    if not is_int(value) or value not in allowed:
+        raise ValidationError(f"{field} must be one of {allowed}, got {shown(value)}",
+                              field=field, question_id=question_id)
 
 
 @dataclass(frozen=True)
@@ -331,9 +328,7 @@ class StudentSession:
             raise ValidationError("session contains events of another student", field="student_id")
         last = stamps[-1] if stamps else 0
         if self.session_end_ms < last:
-            raise ValidationError(
-                "session_end_ms precedes the last event", field="session_end_ms"
-            )
+            raise ValidationError("session_end_ms precedes the last event", field="session_end_ms")
 
 
 def _get(mapping: dict, key: str, kinds):

@@ -18,11 +18,38 @@ class DomainError(EduMetricsError):
 FLOAT_MAX = sys.float_info.max
 
 
+def is_int(value: object) -> bool:
+    """An int, not a bool: ``True == 1``, but no count, id or index is a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def shown(value: object) -> str:
+    """A value as a message shows it: its repr, or an int too long to print by its size."""
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's int() digit cap, which stays as it is
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def check_range(name: str, value: float, lo: float, hi: float) -> None:
     """Raise ``DomainError`` unless ``value`` lies in [lo, hi]. The bounds lie in [-FLOAT_MAX,
     FLOAT_MAX], so no infinity, NaN or int too large for a float is accepted."""
     if not lo <= value <= hi:
-        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {shown(value)}")
+
+
+def check_int(
+    name: str, value: int, lo: int | None = None, hi: int | None = None, *, one_of: tuple = (),
+) -> None:
+    """Raise ``DomainError`` unless ``value`` is an int, not a bool, that is one of
+    ``one_of`` or, without it, lies in [lo, hi], where a bound of None is open."""
+    if one_of:
+        if not (is_int(value) and value in one_of):
+            raise DomainError(f"{name} must be one of {one_of}, got {shown(value)}")
+    elif not is_int(value) or lo is not None and value < lo or hi is not None and value > hi:
+        lo_end = "(-inf" if lo is None else f"[{shown(lo)}"
+        hi_end = "inf)" if hi is None else f"{shown(hi)}]"
+        raise DomainError(f"{name} must be an integer in {lo_end}, {hi_end}, got {shown(value)}")
 
 
 def check_ranges(name: str, values: Sequence[float], lo: float, hi: float) -> None:
@@ -80,7 +107,7 @@ class ValidationError(EduMetricsError):
         if field is not None:
             context.append(f"field={field}")
         if question_id is not None:
-            context.append(f"question_id={question_id}")
+            context.append(f"question_id={shown(question_id)}")
         if line is not None:
             context.append(f"line={line}")
         suffix = f" ({', '.join(context)})" if context else ""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .domain_model import QuestionnaireSpec
-from .errors import DomainError, check_range
+from .errors import DomainError, check_int, check_range, shown
 from .session_derivation import AnswerSequence, QuestionResponse
 
 SubsetLike = Union["QuestionSubset", Iterable[int]]
@@ -28,6 +28,8 @@ class QuestionSubset:
         object.__setattr__(self, "question_ids", tuple(self.question_ids))
         if not self.question_ids:
             raise DomainError("question subset must not be empty")
+        for qid in self.question_ids:
+            check_int("question_id", qid, 1)
         if len(set(self.question_ids)) != len(self.question_ids):
             raise DomainError("question subset contains duplicate ids")
 
@@ -58,7 +60,7 @@ class QuestionSubset:
     def for_topic(cls, spec: QuestionnaireSpec, topic_id: int) -> "QuestionSubset":
         ids = tuple(q.question_id for q in spec.questions if topic_id in q.topic_ids)
         if not ids:
-            raise DomainError(f"no questions tagged with topic {topic_id!r}")
+            raise DomainError(f"no questions tagged with topic {shown(topic_id)}")
         return cls(ids)
 
 
@@ -79,10 +81,10 @@ def _gather(
 ) -> list[QuestionResponse]:
     picked = []
     for qid in QuestionSubset.of(subset):
-        if spec is not None and not 1 <= qid <= spec.question_count:
-            raise DomainError(f"question {qid} is not in the spec")
+        if spec is not None and qid > spec.question_count:  # each id is at least 1
+            raise DomainError(f"question {shown(qid)} is not in the spec")
         if qid not in responses:
-            raise DomainError(f"no response derived for question {qid}")
+            raise DomainError(f"no response derived for question {shown(qid)}")
         picked.append(responses[qid])
     return picked
 

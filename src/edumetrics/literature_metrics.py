@@ -9,7 +9,7 @@ from enum import IntEnum
 from typing import Sequence
 
 from .domain_model import DIFFICULTY_INDICES, FAST_FRACTION, LU_DEVIATIONS
-from .errors import FLOAT_MAX, DomainError, check_ranges, check_times
+from .errors import FLOAT_MAX, DomainError, check_int, check_ranges, check_times, shown
 
 
 class ResponseTimeClass(IntEnum):
@@ -31,10 +31,10 @@ class LuInputs:
 
     def __post_init__(self) -> None:
         for name in ("tdi", "cdi", "qdi"):
-            if getattr(self, name) not in DIFFICULTY_INDICES:
-                raise DomainError(f"{name} must be one of {DIFFICULTY_INDICES}")
-        if self.deviation not in LU_DEVIATIONS:
-            raise DomainError(f"deviation must be one of {LU_DEVIATIONS}")
+            check_int(name, getattr(self, name), one_of=DIFFICULTY_INDICES)
+        check_int("deviation", self.deviation, one_of=LU_DEVIATIONS)
+        if not isinstance(rt := self.response_time_class, ResponseTimeClass):
+            raise DomainError(f"response_time_class must be a ResponseTimeClass, got {shown(rt)}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ def student_learning_rate(series: ScoreSeries) -> float:
     """
     if len(series.scores) < 2:
         raise DomainError("learning rate needs at least two scores")
-    steps = math.fsum(
-        (b - a) * abs(b - a) for a, b in zip(series.scores, series.scores[1:])
-    )
+    steps = math.fsum((b - a) * abs(b - a) for a, b in zip(series.scores, series.scores[1:]))
     return steps / (len(series.scores) - 1)
 
 

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
-from .errors import FLOAT_MAX, DomainError, check_range
+from .errors import FLOAT_MAX, DomainError, check_int, check_range, shown
 
 # An event carries an option id exactly when it is an answer (checked by
 # AssessmentEvent.__new__ and by parse_event_log), so filter(_OPTION_ID,
@@ -51,8 +51,8 @@ class QuestionResponse:
     srt_s: float
 
     def __post_init__(self) -> None:
-        if self.markings < 0:
-            raise DomainError(f"markings must be non-negative, got {self.markings}")
+        check_int("question_id", self.question_id, 1)
+        check_int("markings", self.markings, 0)
         if (self.final_option is not None) != (self.markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
         check_range("srt_s", self.srt_s, 0, FLOAT_MAX)
@@ -146,20 +146,20 @@ def derive_responses(
             since = ts
     # srt_ms has a key for every question id the mode reads.
     if (unknown := max(srt_ms, default=0)) > spec.question_count:
-        raise DomainError(f"question {unknown} is not in the spec")
+        raise DomainError(f"question {shown(unknown)} is not in the spec")
 
+    # Each response is built bare, as _parse_columns builds a session: the markings
+    # are counts, the option is the spec's and the time a sum of gaps below MAX_TIMESTAMP_MS.
     responses = {}
     for question in spec.questions:
         qid = question.question_id
         option = question.option(final_option_id[qid]) if qid in final_option_id else None
-        responses[qid] = QuestionResponse(
-            qid, markings.get(qid, 0), option, srt_ms.get(qid, 0) / 1000.0
-        )
+        responses[qid] = response = object.__new__(QuestionResponse)
+        vars(response).update(question_id=qid, markings=markings.get(qid, 0),
+                              final_option=option, srt_s=srt_ms.get(qid, 0) / 1000.0)
     return responses
 
 
 def derive_answer_sequence(session: StudentSession) -> AnswerSequence:
     """Answer events only, in time order, duplicates preserved."""
-    return AnswerSequence(
-        tuple(map(_QUESTION_AND_OPTION_IDS, filter(_OPTION_ID, session.events)))
-    )
+    return AnswerSequence(tuple(map(_QUESTION_AND_OPTION_IDS, filter(_OPTION_ID, session.events))))

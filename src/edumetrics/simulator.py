@@ -26,7 +26,7 @@ from typing import Sequence
 from .domain_model import (
     FAST_FRACTION, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession,
 )
-from .errors import DomainError, SimulationError
+from .errors import DomainError, SimulationError, check_int
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,6 +36,7 @@ class SplitMix64:
     """Portable 64-bit generator; see the module docstring for the equations."""
 
     def __init__(self, seed: int):
+        check_int("seed", seed)
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
@@ -46,9 +47,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Unbiased draw from [0, n) by rejecting the top remainder band."""
-        if n <= 0:
-            raise DomainError("bound must be positive")
+        """Unbiased draw from [0, n), n <= 2**64, by rejecting the top remainder band."""
+        check_int("n", n, 1, 1 << 64)
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             value = self.next_u64()
@@ -57,8 +57,8 @@ class SplitMix64:
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends included."""
-        if hi < lo:
-            raise DomainError(f"empty range [{lo}, {hi}]")
+        check_int("lo", lo)
+        check_int("hi", hi, lo)
         return lo + self.below(hi - lo + 1)
 
     def choice(self, items: Sequence):
@@ -104,15 +104,14 @@ class BehaviorProfile:
     markings_per_question: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= MASK64:
-            raise DomainError("seed must fit in 64 bits")
+        check_int("seed", self.seed, 0, MASK64)
         lo, hi = self.markings_range
-        if not 1 <= lo <= hi:
-            raise DomainError("markings range must satisfy 1 <= low <= high")
+        check_int("markings_range[0]", lo, 1)
+        check_int("markings_range[1]", hi, lo)
         if self.markings_per_question is not None:
             object.__setattr__(self, "markings_per_question", tuple(self.markings_per_question))
-            if any(m < 1 for m in self.markings_per_question):
-                raise DomainError("per-question markings must be at least 1")
+            for markings in self.markings_per_question:
+                check_int("markings_per_question", markings, 1)
 
 
 def profile_from_name(name: str, seed: int, **knobs) -> BehaviorProfile:
@@ -126,10 +125,8 @@ def profile_from_name(name: str, seed: int, **knobs) -> BehaviorProfile:
     return BehaviorProfile(kind=kind, seed=seed, **knobs)
 
 
-def _is_monotonic(order: Sequence[int]) -> bool:
-    ascending = all(a <= b for a, b in zip(order, order[1:]))
-    descending = all(a >= b for a, b in zip(order, order[1:]))
-    return ascending or descending
+def _is_monotonic(order: list[int]) -> bool:
+    return order in (sorted(order), sorted(order, reverse=True))
 
 
 def _visit_order(profile: BehaviorProfile, rng: SplitMix64, count: int) -> list[int]:
@@ -172,13 +169,10 @@ def simulate_student(
     SimulationError when the drawn schedule cannot fit the
     questionnaire's maximum total time.
     """
-    if profile.markings_per_question is not None and len(
-        profile.markings_per_question
-    ) != spec.question_count:
-        raise SimulationError(
-            f"markings_per_question has {len(profile.markings_per_question)} entries "
-            f"for {spec.question_count} questions"
-        )
+    per_question = profile.markings_per_question
+    if per_question is not None and len(per_question) != spec.question_count:
+        raise SimulationError(f"markings_per_question has {len(per_question)} entries "
+                              f"for {spec.question_count} questions")
     rng = SplitMix64(profile.seed)
     fractions = _TIME_FRACTIONS[profile.kind]
     order = _visit_order(profile, rng, spec.question_count)
@@ -193,8 +187,8 @@ def simulate_student(
         if profile.kind is BehaviorKind.GUESSER:
             final = rng.choice(question.options).option_id
         elif profile.kind is BehaviorKind.SELF_CORRECTOR:
-            if profile.markings_per_question is not None:
-                marks = profile.markings_per_question[qid - 1]
+            if per_question is not None:
+                marks = per_question[qid - 1]
             else:
                 marks = rng.randint(*profile.markings_range)
             wrong = [o.option_id for o in question.options if not o.is_correct]
@@ -219,12 +213,9 @@ def simulate_class(
     id_prefix: str = "sim-",
 ) -> list[StudentSession]:
     """Generate ``count`` students; student i runs on seed ``profile.seed + i``."""
-    if count < 0:
-        raise DomainError("count must be non-negative")
+    check_int("count", count, 0)
     sessions = []
     for index in range(count):
         student = replace(profile, seed=(profile.seed + index) & MASK64)
-        sessions.append(
-            simulate_student(student, spec, student_id=f"{id_prefix}{index + 1:04d}")
-        )
+        sessions.append(simulate_student(student, spec, student_id=f"{id_prefix}{index + 1:04d}"))
     return sessions

@@ -614,9 +614,10 @@ def test_compute_threshold_out_of_range_exits_one(tmp_path, capsys, value, messa
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--seed", "-1", "--seed must fit in 64 bits"),
-        ("--seed", str(2**64), "--seed must fit in 64 bits"),
-        ("--count", "-1", "--count must be non-negative"),
+        ("--seed", "-1", "--seed must be an integer in [0, 18446744073709551615], got -1"),
+        ("--seed", str(2**64),
+         "--seed must be an integer in [0, 18446744073709551615], got 18446744073709551616"),
+        ("--count", "-1", "--count must be an integer in [0, inf), got -1"),
     ],
 )
 def test_simulate_argument_out_of_range_exits_one(tmp_path, capsys, flag, value, message):

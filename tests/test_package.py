@@ -1,5 +1,6 @@
 """The package's public names: some resolve on first use, all as before."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,12 @@ def test_finite_is_spelled_only_in_errors():
     texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.rglob("*.py")}
     assert [name for name, text in texts.items() if "math.inf" in text] == []
     assert {name for name, text in texts.items() if "float_info" in text} == {"errors.py"}
+
+
+def test_int_rule_is_spelled_only_in_errors():
+    """``errors.is_int`` is the one spelling of "an int, not a bool": a bare
+    ``isinstance(x, int)`` lets ``True`` through, ``x < 0`` or ``x in (1, 3, 5)``
+    a bool or a whole float."""
+    spelled = re.compile(r"not\s+isinstance\(\s*[\w.]+\s*,\s*int\s*\)")
+    texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.rglob("*.py")}
+    assert [name for name, text in texts.items() if spelled.search(text)] in ([], ["errors.py"])

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 from dataclasses import replace
+from enum import Enum
 from functools import partial
 from typing import get_args, get_type_hints
 
@@ -20,9 +21,12 @@ from edumetrics import (
     ComprehensionInputs,
     DomainError,
     EventKind,
+    LuInputs,
     QuestionResponse,
+    QuestionSpec,
     QuestionSubset,
     QuestionnaireSpec,
+    ResponseTimeClass,
     ScoreSeries,
     SimulationError,
     SplitMix64,
@@ -31,24 +35,34 @@ from edumetrics import (
     ValidationError,
     approval_split,
     assign_group,
+    assurance_degree,
     build_grouping,
     classify_quadrant,
     classify_response_time,
+    comprehension_for_subset,
+    derive_answer_sequence,
     derive_responses,
     difficulty_level,
+    disorder_summary,
     effective_comprehension_level,
     error_rate,
     max_comprehension_level,
     parse_event_log,
     parse_questionnaire,
     priority,
+    profile_from_name,
     questionnaire_comprehension_level,
     rank_priorities,
     simulate_class,
     simulate_student,
+    srt_vs_expected,
+    student_response_time,
     traditional_score,
+    weighted_score,
 )
+from edumetrics.domain_model import DIFFICULTY_INDICES, LU_DEVIATIONS, MAX_TIMESTAMP_MS, WS_WEIGHTS
 from edumetrics.reporting import compute_student
+from edumetrics.simulator import MASK64
 from helpers import make_option, make_question, make_spec
 
 QUESTION = make_question(1, subject="Maths", topics=(1,))
@@ -57,6 +71,7 @@ PROFILE = BehaviorProfile(kind=BehaviorKind.ASSURED, seed=1)
 NAN = float("nan")
 INF = math.inf
 HUGE = 10**400  # an int too large for a float: math.inf exceeds it, float() overflows
+UNPRINTABLE = 10**5000  # past the interpreter's digit cap: str() of it raises ValueError
 
 
 def event(**over):
@@ -284,6 +299,54 @@ CASES = [
     # reporting
     pytest.param(lambda: compute_student(answer_9(), SPEC), DomainError, None, None,
                  id="compute-unknown-question"),
+    # Integers: each input is an int, not a bool, of its set or range (errors.check_int).
+    pytest.param(lambda: effective_comprehension_level(True, 3, 4), DomainError, None, None,
+                 id="ecl-qdi-boolean"),
+    pytest.param(lambda: effective_comprehension_level(5, 5, 4.0), DomainError, None, None,
+                 id="ecl-weight-float"),
+    pytest.param(lambda: ComprehensionInputs(True, 3, 4, 1.0, 60.0), DomainError, None, None,
+                 id="comprehension-qdi-boolean"),
+    # A response-time class of 0 divided the understanding product by zero.
+    pytest.param(lambda: LuInputs(1, 1, 1, 2, 0), DomainError, None, None,
+                 id="lu-time-class-not-enum"),
+    pytest.param(lambda: AnswerOption("a", 4.0, 5), ValidationError, "ws_weight", None,
+                 id="option-weight-float"),
+    pytest.param(lambda: QuestionResponse(1, 1.5, make_option("a", 4), 0.0), DomainError, None,
+                 None, id="response-markings-float"),
+    pytest.param(lambda: QuestionResponse(-3, 0, None, 0.0), DomainError, None, None,
+                 id="response-question-id-negative"),
+    pytest.param(lambda: QuestionSubset((True,)), DomainError, None, None, id="subset-boolean"),
+    pytest.param(lambda: QuestionSubset((1.5,)), DomainError, None, None, id="subset-float"),
+    pytest.param(lambda: SPEC.question(True), ValidationError, "question_id", None,
+                 id="spec-question-boolean"),
+    pytest.param(lambda: SplitMix64(1).randint(1, 2.5), DomainError, None, None,
+                 id="rng-randint-float"),
+    pytest.param(lambda: SplitMix64(1).below(True), DomainError, None, None,
+                 id="rng-below-boolean"),
+    # Every draw would be rejected: below(n) for n past 2**64 did not return.
+    pytest.param(lambda: SplitMix64(1).below(2**64 + 1), DomainError, None, None,
+                 id="rng-below-past-64-bits"),
+    pytest.param(lambda: simulate_class(PROFILE, SPEC, True), DomainError, None, None,
+                 id="simulate-count-boolean"),
+    pytest.param(lambda: profile_from_name("assured", 1.5), DomainError, None, None,
+                 id="profile-seed-float"),
+    pytest.param(lambda: replace(PROFILE, markings_range=(1.5, 2)), DomainError, None, None,
+                 id="profile-markings-float"),
+    pytest.param(lambda: questionnaire_comprehension_level([0.5], 0.5, True), DomainError, None,
+                 None, id="qucl-count-boolean"),
+    # A refused int too long to print is shown by its size, not by a ValueError.
+    pytest.param(lambda: priority(UNPRINTABLE, 1.0), DomainError, None, None,
+                 id="priority-unprintable"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, UNPRINTABLE), DomainError, None, None,
+                 id="response-srt-unprintable"),
+    pytest.param(lambda: AnswerOption("a", UNPRINTABLE, 5), ValidationError, "ws_weight", None,
+                 id="option-weight-unprintable"),
+    pytest.param(lambda: SPEC.question(UNPRINTABLE), ValidationError, "question_id", None,
+                 id="spec-question-unprintable"),
+    pytest.param(lambda: effective_comprehension_level(3, 3, UNPRINTABLE), DomainError, None, None,
+                 id="ecl-weight-unprintable"),
+    pytest.param(lambda: build_grouping(-UNPRINTABLE), DomainError, None, None,
+                 id="grouping-count-unprintable"),
 ]
 
 
@@ -303,22 +366,23 @@ FLOAT_INPUTS = {
 }
 
 
-def valid_arguments(function) -> dict:
+def valid_arguments(function, table=FLOAT_INPUTS) -> dict:
     """The arguments of the table's valid call of ``function``, by parameter name."""
-    return inspect.signature(function).bind(*FLOAT_INPUTS[function][0]).arguments
+    return inspect.signature(function).bind(*table[function][0]).arguments
 
 
-def with_each(value, x):
-    """Copies of ``value`` with one of its numbers replaced by ``x``, one copy per number."""
+def with_each(value, replace_number):
+    """Copies of ``value`` with one of its numbers, ``n``, replaced by
+    ``replace_number(n)``, one copy per number."""
     if isinstance(value, (int, float)):
-        yield x
+        yield replace_number(value)
     elif isinstance(value, dict):
         for key, item in value.items():
-            for new in with_each(item, x):
+            for new in with_each(item, replace_number):
                 yield {**value, key: new}
     else:
         for i, item in enumerate(value):
-            for new in with_each(item, x):
+            for new in with_each(item, replace_number):
                 yield type(value)([*value[:i], new, *value[i + 1:]])
 
 
@@ -331,13 +395,105 @@ def range_cases():
         for name, (lo, hi) in ranges.items():
             bad = [NAN, INF, -INF] + [b for b in (lo - 1, hi + 1) if math.isfinite(b)]
             for x, shown in [*((b, b) for b in bad), (HUGE, "huge"), (-HUGE, "-huge")]:
-                for i, value in enumerate(with_each(arguments[name], x)):
+                for i, value in enumerate(with_each(arguments[name], lambda _: x)):
                     call = partial(function, **{**arguments, name: value})
                     yield pytest.param(call, DomainError, None, None,
                                        id=f"{function.__name__}-{name}-{shown}-{i}")
 
 
 CASES += range_cases()
+
+RESPONSES = derive_responses(session(), SPEC)
+SEQUENCE = derive_answer_sequence(session(kind=EventKind.ANSWER, option_id="a"))
+
+# Each exported function, checked constructor and checked method that takes an
+# int: a valid call, and the set (a frozenset) or range ((low, high), None for an
+# open end) of each integer parameter, or of each int in it.
+INT_INPUTS = {
+    AnswerOption: (("a", 4, 5), {"ws_weight": frozenset(WS_WEIGHTS),
+                                 "lu_deviation": frozenset(LU_DEVIATIONS)}),
+    AssessmentEvent: (("s1", 1, EventKind.VIEW, None, 0),
+                      {"question_id": (1, None), "timestamp_ms": (0, MAX_TIMESTAMP_MS)}),
+    QuestionSpec: ((1, "Maths", [1, 2], 3, 3, 3, 60.0, QUESTION.options),
+                   {"question_id": (1, None), "topic_ids": (None, None),
+                    "qdi": frozenset(DIFFICULTY_INDICES), "cdi": frozenset(DIFFICULTY_INDICES),
+                    "tdi": frozenset(DIFFICULTY_INDICES)}),
+    SPEC.question: ((1,), {"question_id": (1, 1)}),
+    StudentSession: (("s1", (), 0), {"session_end_ms": (0, MAX_TIMESTAMP_MS)}),
+    build_grouping: ((4,), {"student_count": (1, None)}),
+    disorder_summary: (([SEQUENCE], [1]), {"question_ids": (1, None)}),
+    srt_vs_expected: (([RESPONSES], SPEC, [1]), {"subset": (1, None)}),
+    ComprehensionInputs: ((3, 3, 4, 10.0, 60.0), {"qdi": frozenset(DIFFICULTY_INDICES),
+                                                  "cdi": frozenset(DIFFICULTY_INDICES),
+                                                  "w": frozenset(WS_WEIGHTS)}),
+    comprehension_for_subset: ((RESPONSES, SPEC, [1]), {"subset": (1, None)}),
+    effective_comprehension_level: ((3, 3, 4), {"qdi": frozenset(DIFFICULTY_INDICES),
+                                                "cdi": frozenset(DIFFICULTY_INDICES),
+                                                "w": frozenset(WS_WEIGHTS)}),
+    max_comprehension_level: ((3, 3), {"qdi": frozenset(DIFFICULTY_INDICES),
+                                       "cdi": frozenset(DIFFICULTY_INDICES)}),
+    questionnaire_comprehension_level: (([0.5, 0.5], 0.5, 2), {"q_count": (1, None)}),
+    QuestionSubset: (((1, 2),), {"question_ids": (1, None)}),
+    assurance_degree: ((RESPONSES, SPEC, [1]), {"subset": (1, None)}),
+    student_response_time: ((RESPONSES, [1]), {"subset": (1, None)}),
+    traditional_score: ((RESPONSES, SPEC, [1]), {"subset": (1, None)}),
+    weighted_score: ((RESPONSES, SPEC, [1]), {"subset": (1, None)}),
+    QuestionResponse: ((1, 0, None, 0.0), {"question_id": (1, None), "markings": (0, None)}),
+    LuInputs: ((3, 3, 3, 5, ResponseTimeClass.NORMAL),
+               {"tdi": frozenset(DIFFICULTY_INDICES), "cdi": frozenset(DIFFICULTY_INDICES),
+                "qdi": frozenset(DIFFICULTY_INDICES), "deviation": frozenset(LU_DEVIATIONS)}),
+    SplitMix64: ((1,), {"seed": (None, None)}),
+    SplitMix64(1).below: ((6,), {"n": (1, 2**64)}),
+    SplitMix64(1).randint: ((1, 6), {"lo": (None, None), "hi": (1, None)}),
+    BehaviorProfile: ((BehaviorKind.SELF_CORRECTOR, 1, (2, 5), (1, 2)),
+                      {"seed": (0, MASK64), "markings_range": (1, None),
+                       "markings_per_question": (1, None)}),
+    profile_from_name: (("assured", 1), {"seed": (0, MASK64)}),
+    simulate_class: ((PROFILE, SPEC, 1), {"count": (0, None)}),
+}
+
+# Integer parameters that need no check, and why.
+INT_EXEMPT = {
+    "rank_priorities": {"per_element_ts_ws": "its keys are element labels: subjects or topic ids"},
+    **{
+        function: {"responses": "the subset's checked ids are looked up in its keys"}
+        for function in ("assurance_degree", "comprehension_for_subset", "student_response_time",
+                         "traditional_score", "weighted_score")
+    },
+    "srt_vs_expected": {
+        "responses_per_student": "the subset's checked ids are looked up in its keys"
+    },
+}
+
+
+def int_name(function) -> str:
+    return function.__qualname__
+
+
+def int_cases():
+    """Per integer input, in each position of a sequence, in an otherwise valid
+    call: a bool, the valid int as a float and a value just past each bound, or
+    just outside the set. A data-model constructor raises ValidationError with
+    the parameter as its field; every other check DomainError."""
+    for function, (_, allowed) in INT_INPUTS.items():
+        arguments = valid_arguments(function, INT_INPUTS)
+        in_model = function.__module__ == "edumetrics.domain_model"
+        error = ValidationError if in_model else DomainError
+        for name, span in allowed.items():
+            lo, hi = (min(span), max(span)) if isinstance(span, frozenset) else span
+            bad = [("bool", lambda _: True), ("float", float)]
+            if lo is not None:
+                bad.append(("below", lambda _: lo - 1))
+            if hi is not None:
+                bad.append(("above", lambda _: hi + 1))
+            for label, replace_number in bad:
+                for i, value in enumerate(with_each(arguments[name], replace_number)):
+                    call = partial(function, **{**arguments, name: value})
+                    yield pytest.param(call, error, name if in_model else None, None,
+                                       id=f"{int_name(function)}-{name}-{label}-{i}")
+
+
+CASES += int_cases()
 
 
 @pytest.mark.parametrize("call, error, field, line", CASES)
@@ -352,6 +508,11 @@ def test_raise_site(call, error, field, line):
 @pytest.mark.parametrize("function", FLOAT_INPUTS, ids=lambda function: function.__name__)
 def test_float_inputs_valid_call_passes(function):
     function(**valid_arguments(function))
+
+
+@pytest.mark.parametrize("function", INT_INPUTS, ids=int_name)
+def test_int_inputs_valid_call_passes(function):
+    function(**valid_arguments(function, INT_INPUTS))
 
 
 def mentions_float(hint) -> bool:
@@ -370,3 +531,33 @@ def test_float_inputs_cover_every_exported_float_parameter():
             if params:
                 takes_float[name] = params
     assert takes_float == {f.__name__: set(ranges) for f, (_, ranges) in FLOAT_INPUTS.items()}
+
+
+def mentions_int(hint) -> bool:
+    return hint is int or any(map(mentions_int, get_args(hint)))
+
+
+def test_int_inputs_cover_every_exported_int_parameter():
+    """A new exported function or checked constructor, or a new parameter, that
+    takes an int needs a row in INT_INPUTS or a reason in INT_EXEMPT."""
+    takes_int = {}
+    for name in edumetrics.__all__:
+        obj = getattr(edumetrics, name)
+        if inspect.isclass(obj) and not issubclass(obj, Enum) and "__new__" in vars(obj):
+            hints = get_type_hints(obj.__new__)
+        elif inspect.isclass(obj) and "__post_init__" in vars(obj):
+            hints = get_type_hints(obj)
+        elif inspect.isfunction(obj):
+            hints = get_type_hints(obj)
+        else:
+            continue
+        hints.pop("return", None)
+        params = {param for param, hint in hints.items() if mentions_int(hint)}
+        if params:
+            takes_int[name] = params
+    covered = {
+        name: set(INT_EXEMPT.get(name, {}))
+        | {p for f, (_, allowed) in INT_INPUTS.items() if int_name(f) == name for p in allowed}
+        for name in takes_int
+    }
+    assert takes_int == covered
