@@ -72,7 +72,6 @@ from .session_derivation import (
     derive_answer_sequence,
     derive_responses,
     pick_log_srt_mode,
-    pick_srt_mode,
 )
 
 __version__ = "0.1.0"

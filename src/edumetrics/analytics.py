@@ -60,7 +60,8 @@ def build_grouping(student_count: int) -> GroupingScheme:
     Floors are closed, ceilings open, except the last group which also
     contains 1.0.
     """
-    check_int("student_count", student_count, 1)
+    # 2**32 students make at most 65 536 groups; a count past the largest float overflows sqrt.
+    check_int("student_count", student_count, 1, 2**32)
     k = max(1, math.floor(math.sqrt(student_count) + 0.5))
     bounds = tuple((i / k, (i + 1) / k) for i in range(k))
     return GroupingScheme(k=k, h=1.0 / k, bounds=bounds)

@@ -162,7 +162,7 @@ def level_of_disorder(sequence: AnswerSequence) -> float:
     even split gives 1. Sequences shorter than two answers have no
     transitions and give 0.
     """
-    ids = sequence.question_ids()
+    ids = sequence.question_ids
     if len(ids) < 2:
         return 0.0
     in_order = sum(1 for a, b in zip(ids, ids[1:]) if a <= b)

@@ -25,7 +25,6 @@ import json
 import math
 from collections import Counter
 from itertools import chain, groupby, repeat
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from .analytics import (
@@ -47,8 +46,6 @@ from .domain_model import (
 )
 from .isolated_metrics import question_doubt, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
-
-_ENTRY_QUESTION_ID = itemgetter(0)  # of an AnswerSequence entry
 
 
 class GroupIndices(NamedTuple):
@@ -120,10 +117,7 @@ class StudentMetricsReport(NamedTuple):
 
 
 def compute_student(
-    session: StudentSession,
-    spec: QuestionnaireSpec,
-    srt_mode: SrtMode | None = None,
-    threshold: float = 0.5,
+    session: StudentSession, spec: QuestionnaireSpec, srt_mode: SrtMode, threshold: float = 0.5
 ) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
@@ -155,7 +149,7 @@ def compute_student(
     # Per subset: last question id answered (0: none) and step-downs.
     layout, holders = spec.subset_layout, spec.subsets_of_question
     last, descents = [0] * len(layout), [0] * len(layout)
-    for qid, _ in groupby(map(_ENTRY_QUESTION_ID, sequence.entries)):
+    for qid, _ in groupby(sequence.question_ids):
         for i in holders[qid - 1]:
             descents[i] += last[i] > qid
             last[i] = qid

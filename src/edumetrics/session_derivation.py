@@ -21,7 +21,6 @@ from .errors import FLOAT_MAX, DomainError, check_int, check_range, shown
 # events) keeps the answers and all(map(_OPTION_ID, events)) finds no view.
 _QUESTION_ID = itemgetter(1)
 _OPTION_ID = itemgetter(3)
-_QUESTION_AND_OPTION_IDS = itemgetter(1, 3)
 
 
 class SrtMode(Enum):
@@ -69,60 +68,48 @@ class QuestionResponse:
 
 @dataclass(frozen=True)
 class AnswerSequence:
-    """The (question_id, option_id) pairs of all answer events, in time order."""
+    """The question ids of all answer events, in time order."""
 
-    entries: tuple[tuple[int, str], ...]
+    question_ids: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def question_ids(self) -> tuple[int, ...]:
-        return tuple([q for q, _ in self.entries])
+        return len(self.question_ids)
 
     def restricted_to(self, question_ids: Iterable[int]) -> "AnswerSequence":
         """Subsequence of answers to the given questions, order preserved."""
         keep = set(question_ids)
-        return AnswerSequence(tuple([e for e in self.entries if e[0] in keep]))
-
-
-def pick_srt_mode(session: StudentSession) -> SrtMode:
-    """VIEW_INTERVALS when the session carries any view event, else ANSWER_INTERVALS."""
-    if not all(map(_OPTION_ID, session.events)):
-        return SrtMode.VIEW_INTERVALS
-    return SrtMode.ANSWER_INTERVALS
+        return AnswerSequence(tuple([q for q in self.question_ids if q in keep]))
 
 
 def pick_log_srt_mode(sessions: Iterable[StudentSession]) -> SrtMode:
     """One mode for a whole log: VIEW_INTERVALS when any of its sessions
     carries a view event, else ANSWER_INTERVALS."""
-    if any(pick_srt_mode(s) is SrtMode.VIEW_INTERVALS for s in sessions):
+    if any(not all(map(_OPTION_ID, s.events)) for s in sessions):
         return SrtMode.VIEW_INTERVALS
     return SrtMode.ANSWER_INTERVALS
 
 
 def derive_responses(
-    session: StudentSession,
-    spec: QuestionnaireSpec,
-    srt_mode: SrtMode | None = None,
+    session: StudentSession, spec: QuestionnaireSpec, srt_mode: SrtMode
 ) -> dict[int, QuestionResponse]:
     """Build one QuestionResponse per question in the spec.
 
     Questions never touched get markings 0 and zero time. Every answer
     event counts as a marking, including re-selections of the same
-    option. Accumulated time follows ``srt_mode``; ``None`` resolves the
-    mode per session (see :func:`pick_srt_mode`). To give every student
-    of a log the same mode, as ``edumetrics compute`` does, pass
-    :func:`pick_log_srt_mode` of all its sessions. A session that names a
-    question the spec lacks, in an event the mode reads, raises
-    ``DomainError``; a view in answer mode is read by no metric.
+    option. Accumulated time follows ``srt_mode``, one per log: pass
+    :func:`pick_log_srt_mode` of all its sessions, as ``edumetrics
+    compute`` does, or a fixed mode. A session that names a question the
+    spec lacks, in an event the mode reads, raises ``DomainError``; a
+    view in answer mode is read by no metric.
     """
-    mode = srt_mode or pick_srt_mode(session)
+    if not isinstance(srt_mode, SrtMode):  # None or "view" would time by answers
+        raise DomainError(f"srt_mode must be an SrtMode, got {shown(srt_mode)}")
     events = session.events
     answer = EventKind.ANSWER
     markings, final_option_id, srt_ms = {}, {}, {}  # by question id
     # The view loop unpacks each event: in CPython 3.11 a tuple unpack is
     # cheaper than reading named-tuple fields.
-    if mode is SrtMode.VIEW_INTERVALS:
+    if srt_mode is SrtMode.VIEW_INTERVALS:
         # Each gap goes to the question of the event opening it (0, unread, before any).
         current, since = 0, events[0].timestamp_ms if events else 0
         for _, qid, kind, option_id, ts in events:
@@ -162,4 +149,4 @@ def derive_responses(
 
 def derive_answer_sequence(session: StudentSession) -> AnswerSequence:
     """Answer events only, in time order, duplicates preserved."""
-    return AnswerSequence(tuple(map(_QUESTION_AND_OPTION_IDS, filter(_OPTION_ID, session.events))))
+    return AnswerSequence(tuple(map(_QUESTION_ID, filter(_OPTION_ID, session.events))))

@@ -26,7 +26,7 @@ from typing import Sequence
 from .domain_model import (
     FAST_FRACTION, AssessmentEvent, EventKind, QuestionnaireSpec, StudentSession,
 )
-from .errors import DomainError, SimulationError, check_int
+from .errors import DomainError, SimulationError, check_int, shown
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -105,13 +105,22 @@ class BehaviorProfile:
 
     def __post_init__(self) -> None:
         check_int("seed", self.seed, 0, MASK64)
+        _check_sequence("markings_range", self.markings_range, 2)
         lo, hi = self.markings_range
         check_int("markings_range[0]", lo, 1)
         check_int("markings_range[1]", hi, lo)
         if self.markings_per_question is not None:
+            _check_sequence("markings_per_question", self.markings_per_question)
             object.__setattr__(self, "markings_per_question", tuple(self.markings_per_question))
             for markings in self.markings_per_question:
                 check_int("markings_per_question", markings, 1)
+
+
+def _check_sequence(name: str, value: object, length: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is a sequence, of ``length`` items when given."""
+    if not isinstance(value, Sequence) or length is not None and len(value) != length:
+        count = "" if length is None else f"{length} "
+        raise DomainError(f"{name} must be a sequence of {count}integers, got {shown(value)}")
 
 
 def profile_from_name(name: str, seed: int, **knobs) -> BehaviorProfile:

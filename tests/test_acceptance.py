@@ -33,6 +33,7 @@ from edumetrics import (
     level_of_disorder,
     parse_event_log,
     parse_questionnaire,
+    pick_log_srt_mode,
     priority,
     profile_from_name,
     question_comprehension_level,
@@ -310,7 +311,7 @@ def _engine_metrics(doc, rows, end_ts, mode):
     lines.append(f"s1,,end,,{end_ts}")
     sessions = parse_event_log("\n".join(lines) + "\n", spec)
     session = sessions[0] if sessions else StudentSession("s1", (), end_ts)
-    srt_mode = {"view": SrtMode.VIEW_INTERVALS, "answer": SrtMode.ANSWER_INTERVALS, "auto": None}[mode]
+    srt_mode = pick_log_srt_mode([session]) if mode == "auto" else SrtMode(mode)
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
 
@@ -427,10 +428,10 @@ def test_invariant_disorder_bounds_and_monotonic_zero():
     rnd = random.Random(103)
     for _ in range(500):
         ids = [rnd.randint(1, 8) for _ in range(rnd.randint(0, 40))]
-        sequence = AnswerSequence(tuple((q, "a") for q in ids))
+        sequence = AnswerSequence(tuple(ids))
         assert 0.0 <= level_of_disorder(sequence) <= 1.0
-    ascending = AnswerSequence(tuple((q, "a") for q in range(1, 9)))
-    descending = AnswerSequence(tuple((q, "a") for q in range(8, 0, -1)))
+    ascending = AnswerSequence(tuple(range(1, 9)))
+    descending = AnswerSequence(tuple(range(8, 0, -1)))
     assert level_of_disorder(ascending) == 0.0
     assert level_of_disorder(descending) == 0.0
     _ok("disorder in [0, 1], zero on both monotonic orders")
@@ -470,14 +471,15 @@ def test_simulator_separation_assured_vs_guesser():
 
     assured_qucl = []
     for session in assured:
-        responses = derive_responses(session, spec)
+        responses = derive_responses(session, spec, SrtMode.VIEW_INTERVALS)
         sequence = derive_answer_sequence(session)
         assert traditional_score(responses, spec, subset) == 10.0
         assert assurance_degree(responses, spec, subset) == 1.0
         assert level_of_disorder(sequence) == 0.0
         assured_qucl.append(comprehension_for_subset(responses, spec, subset))
     guesser_qucl = [
-        comprehension_for_subset(derive_responses(s, spec), spec, subset) for s in guessers
+        comprehension_for_subset(derive_responses(s, spec, SrtMode.VIEW_INTERVALS), spec, subset)
+        for s in guessers
     ]
     assert min(assured_qucl) > max(guesser_qucl)
     _ok("assured and guesser comprehension ranges are disjoint over 100+100 students")

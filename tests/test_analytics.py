@@ -192,7 +192,7 @@ def test_srt_vs_expected_needs_students():
 
 
 def seq(*ids):
-    return AnswerSequence(tuple((q, "a") for q in ids))
+    return AnswerSequence(ids)
 
 
 def test_disorder_summary_all_ordered():

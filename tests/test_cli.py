@@ -516,6 +516,11 @@ def written_files(root):
     return [p for p in root.rglob("*") if p.is_file()] if root.exists() else []
 
 
+def report_bytes(out_dir):
+    """Each file under ``out_dir``, by its path relative to it, as bytes."""
+    return {p.relative_to(out_dir).as_posix(): p.read_bytes() for p in written_files(out_dir)}
+
+
 def test_compute_spec_not_utf8_names_file_and_line(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(b'{\n  "questionnaire_id": "\xff"\n}\n')
@@ -573,8 +578,66 @@ def test_compute_reads_past_a_utf8_byte_order_mark(tmp_path):
                                (spec_bom, events_bom, tmp_path / "bom")):
         argv = ["compute", "--spec", str(spec), "--events", str(log), "--out", str(out_dir)]
         assert main([*argv, "--format", "csv"]) == 0
-        reports.append({p.relative_to(out_dir): p.read_bytes() for p in written_files(out_dir)})
+        reports.append(report_bytes(out_dir))
     assert len(reports[0]) == 7 and reports[0] == reports[1]
+
+
+def test_compute_reads_crlf_and_cr_only_logs_as_lf(tmp_path):
+    """CRLF and lone-CR copies of a log give the LF log's report bytes, through
+    the file read and the parse. 40 self-correctors write about 29 000
+    characters, more than one parse slice holds."""
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, profile="self-corrector", count=40)
+    text = events.read_bytes()
+    reports = {}
+    for name, ending in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        log = tmp_path / f"{name}.csv"
+        log.write_bytes(text.replace(b"\n", ending))
+        out_dir = tmp_path / f"out-{name}"
+        argv = ["compute", "--spec", str(spec_path), "--events", str(log), "--out", str(out_dir)]
+        assert main([*argv, "--format", "csv"]) == 0
+        reports[name] = report_bytes(out_dir)
+    assert len(reports["lf"]) == 7
+    assert reports["crlf"] == reports["lf"] and reports["cr"] == reports["lf"]
+
+
+def test_compute_report_bytes_do_not_depend_on_the_locale(tmp_path):
+    """A non-ASCII subject computed under the C locale without UTF-8 mode, where
+    an open() that falls back to the locale's encoding is an error, gives the
+    report bytes of a UTF-8 run."""
+    spec_path = write_spec(tmp_path, subjects=("\u00c1lgebra \u2713", "Maths"))
+    events = simulate_events(tmp_path, spec_path, profile="self-corrector", count=4)
+    ascii_locale = {
+        "PYTHONUTF8": "0", "LC_ALL": "C",  # -X warn_default_encoding -W error::EncodingWarning
+        "PYTHONWARNDEFAULTENCODING": "1", "PYTHONWARNINGS": "error::EncodingWarning",
+    }
+    reports = {}
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ascii_locale)):
+        out_dir = tmp_path / f"out-{name}"
+        result = run_cli(
+            "compute", "--spec", str(spec_path), "--events", str(events),
+            "--out", str(out_dir), "--format", "csv", env={**os.environ, **env},
+        )
+        assert result.returncode == 0, result.stderr
+        reports[name] = report_bytes(out_dir)
+    assert len(reports["utf8"]) == 7 and reports["ascii"] == reports["utf8"]
+    assert "\u00c1lgebra \u2713".encode() in reports["utf8"]["students.csv"]
+
+
+def test_compute_json_format_writes_the_csv_runs_files(tmp_path):
+    """--format json writes the five files of a --format csv run, byte for byte,
+    and not the two flat CSVs."""
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, profile="self-corrector", count=4)
+    reports = {}
+    for fmt in ("csv", "json"):
+        out_dir = tmp_path / f"out-{fmt}"
+        argv = ["compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir)]
+        assert main([*argv, "--format", fmt]) == 0
+        reports[fmt] = report_bytes(out_dir)
+    flat = {name: reports["csv"].pop(name) for name in ("students.csv", "questions.csv")}
+    assert all(flat.values()) and len(reports["json"]) == 5
+    assert reports["json"] == reports["csv"]
 
 
 def test_compute_events_with_bom_not_utf8_names_the_line(tmp_path, capsys):

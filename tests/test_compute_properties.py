@@ -22,7 +22,6 @@ from edumetrics import (
     derive_answer_sequence,
     derive_responses,
     level_of_disorder,
-    pick_srt_mode,
     priority,
     question_doubt,
     student_response_time,
@@ -98,7 +97,6 @@ def sessions(draw, spec):
 
 def _reference_responses(session, spec, mode):
     """Markings and final options in one loop, srt in a second."""
-    mode = mode or pick_srt_mode(session)
     markings, final, srt_ms = {}, {}, {}
     for event in session.events:
         if event.kind is EventKind.ANSWER:
@@ -177,7 +175,7 @@ def _steps(subjects, *steps):
 def test_compute_student_equals_metric_definitions(case):
     spec, session = case
     sequence = derive_answer_sequence(session)
-    for mode in (None, SrtMode.VIEW_INTERVALS, SrtMode.ANSWER_INTERVALS):
+    for mode in SrtMode:
         report = compute_student(session, spec, mode)
         responses = derive_responses(session, spec, mode)
         assert responses == _reference_responses(session, spec, mode)

@@ -24,7 +24,7 @@ WHOLE_SIX = QuestionSubset.whole(SIX)
 
 
 def sequence_of(*question_ids):
-    return AnswerSequence(tuple((q, "a") for q in question_ids))
+    return AnswerSequence(question_ids)
 
 
 def test_traditional_score_worked_examples():

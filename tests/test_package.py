@@ -21,7 +21,7 @@ PUBLIC_NAMES = (
     "comprehension_for_subset", "derive_answer_sequence", "derive_responses", "difficulty_level",
     "disorder_summary", "effective_comprehension_level", "error_rate", "event_log_csv",
     "level_of_disorder", "level_of_understanding", "max_comprehension_level", "parse_event_log",
-    "parse_questionnaire", "pick_log_srt_mode", "pick_srt_mode", "priority", "profile_from_name",
+    "parse_questionnaire", "pick_log_srt_mode", "priority", "profile_from_name",
     "question_comprehension_level", "question_doubt", "questionnaire_comprehension_level",
     "rank_priorities", "serialize_questionnaire", "simulate_class", "simulate_student",
     "srt_vs_expected", "student_learning_rate", "student_response_time", "subject_subsets",

@@ -195,6 +195,9 @@ CASES = [
                  id="grouping-count-boolean"),
     pytest.param(lambda: build_grouping(INF), DomainError, None, None,
                  id="grouping-count-infinite"),
+    # math.sqrt of it overflowed, and a count past 2**32 built a bound per group.
+    pytest.param(lambda: build_grouping(HUGE), DomainError, None, None,
+                 id="grouping-count-huge"),
     pytest.param(lambda: approval_split([0.5], 1.5), DomainError, None, None, id="approval-threshold"),
     pytest.param(lambda: approval_split([NAN], 0.5), DomainError, None, None,
                  id="approval-value-nan"),
@@ -271,6 +274,13 @@ CASES = [
                  id="profile-markings-order"),
     pytest.param(lambda: replace(PROFILE, markings_per_question=(0,)), DomainError, None, None,
                  id="profile-per-question-markings"),
+    # The knobs were unpacked or iterated before their shape was checked.
+    pytest.param(lambda: replace(PROFILE, markings_range=(1,)), DomainError, None, None,
+                 id="profile-markings-range-one-item"),
+    pytest.param(lambda: replace(PROFILE, markings_range=5), DomainError, None, None,
+                 id="profile-markings-range-int"),
+    pytest.param(lambda: replace(PROFILE, markings_per_question=5), DomainError, None, None,
+                 id="profile-per-question-int"),
     pytest.param(
         lambda: simulate_student(
             replace(PROFILE, kind=BehaviorKind.GUESSER),
@@ -296,9 +306,14 @@ CASES = [
                  DomainError, None, None, id="derive-view-unknown-question"),
     pytest.param(lambda: derive_responses(answer_9(), SPEC, SrtMode.ANSWER_INTERVALS),
                  DomainError, None, None, id="derive-answer-unknown-question"),
+    # The mode is required: None resolved it per session, and other values timed by answers.
+    pytest.param(lambda: derive_responses(session(), SPEC, None), DomainError, None, None,
+                 id="derive-mode-none"),
+    pytest.param(lambda: derive_responses(session(), SPEC, "view"), DomainError, None, None,
+                 id="derive-mode-string"),
     # reporting
-    pytest.param(lambda: compute_student(answer_9(), SPEC), DomainError, None, None,
-                 id="compute-unknown-question"),
+    pytest.param(lambda: compute_student(answer_9(), SPEC, SrtMode.ANSWER_INTERVALS),
+                 DomainError, None, None, id="compute-unknown-question"),
     # Integers: each input is an int, not a bool, of its set or range (errors.check_int).
     pytest.param(lambda: effective_comprehension_level(True, 3, 4), DomainError, None, None,
                  id="ecl-qdi-boolean"),
@@ -403,7 +418,7 @@ def range_cases():
 
 CASES += range_cases()
 
-RESPONSES = derive_responses(session(), SPEC)
+RESPONSES = derive_responses(session(), SPEC, SrtMode.VIEW_INTERVALS)
 SEQUENCE = derive_answer_sequence(session(kind=EventKind.ANSWER, option_id="a"))
 
 # Each exported function, checked constructor and checked method that takes an
@@ -420,7 +435,7 @@ INT_INPUTS = {
                     "tdi": frozenset(DIFFICULTY_INDICES)}),
     SPEC.question: ((1,), {"question_id": (1, 1)}),
     StudentSession: (("s1", (), 0), {"session_end_ms": (0, MAX_TIMESTAMP_MS)}),
-    build_grouping: ((4,), {"student_count": (1, None)}),
+    build_grouping: ((4,), {"student_count": (1, 2**32)}),
     disorder_summary: (([SEQUENCE], [1]), {"question_ids": (1, None)}),
     srt_vs_expected: (([RESPONSES], SPEC, [1]), {"subset": (1, None)}),
     ComprehensionInputs: ((3, 3, 4, 10.0, 60.0), {"qdi": frozenset(DIFFICULTY_INDICES),

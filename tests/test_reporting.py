@@ -247,8 +247,8 @@ def test_compute_student_rows_equal_metric_definitions():
     spec = _overlapping_spec()
     sessions = _sessions(spec, per_profile=4, seed=77)
     for session in sessions:
-        report = compute_student(session, spec)
-        responses = derive_responses(session, spec)
+        report = compute_student(session, spec, SrtMode.VIEW_INTERVALS)
+        responses = derive_responses(session, spec, SrtMode.VIEW_INTERVALS)
         sequence = derive_answer_sequence(session)
         expected_keys = [("questionnaire", None)]
         expected_keys += [("subject", s) for s in spec.subjects()]
@@ -285,7 +285,7 @@ def test_compute_student_rows_equal_metric_definitions():
 )
 def test_report_rows_are_immutable(pick, field):
     spec = _overlapping_spec()
-    target = pick(compute_student(_sessions(spec, per_profile=1)[0], spec))
+    target = pick(compute_student(_sessions(spec, per_profile=1)[0], spec, SrtMode.VIEW_INTERVALS))
     with pytest.raises(AttributeError):
         setattr(target, field, getattr(target, field))
 
@@ -293,7 +293,8 @@ def test_report_rows_are_immutable(pick, field):
 def test_group_indices_are_immutable():
     spec = _overlapping_spec()
     sessions = _sessions(spec, per_profile=1)
-    reports = attach_group_indices([compute_student(s, spec) for s in sessions], build_grouping(4))
+    reports = [compute_student(s, spec, SrtMode.VIEW_INTERVALS) for s in sessions]
+    reports = attach_group_indices(reports, build_grouping(4))
     with pytest.raises(TypeError):
         reports[0].group_indices["ts"] = 99
 
@@ -380,7 +381,7 @@ def test_compute_student_walks_the_answers_once(monkeypatch):
     ComprehensionInputs: either one raises here."""
     spec = _overlapping_spec()
     sessions = _sessions(spec)
-    expected = [compute_student(session, spec) for session in sessions]
+    expected = [compute_student(session, spec, SrtMode.VIEW_INTERVALS) for session in sessions]
     holders = spec.subsets_of_question
     assert holders is spec.subsets_of_question
     assert holders[0] == (0, 1, 4, 6, 7)  # questionnaire, Algebra, topics 1, 3 and 4
@@ -390,7 +391,8 @@ def test_compute_student_walks_the_answers_once(monkeypatch):
 
     monkeypatch.setattr(AnswerSequence, "restricted_to", refuse)
     monkeypatch.setattr(ComprehensionInputs, "__post_init__", refuse)
-    assert [compute_student(session, spec) for session in sessions] == expected
+    again = [compute_student(session, spec, SrtMode.VIEW_INTERVALS) for session in sessions]
+    assert again == expected
     assert spec.subsets_of_question is holders
 
 

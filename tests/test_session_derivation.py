@@ -11,7 +11,6 @@ from edumetrics import (
     derive_answer_sequence,
     derive_responses,
     pick_log_srt_mode,
-    pick_srt_mode,
 )
 from helpers import answer_event, make_session, make_spec, view_event
 
@@ -25,7 +24,7 @@ def test_markings_and_final_options():
             answer_event("s1", 1, "c", 2000),
         ]
     )
-    responses = derive_responses(session, spec)
+    responses = derive_responses(session, spec, SrtMode.ANSWER_INTERVALS)
     assert responses[1].markings == 2
     assert responses[2].markings == 1
     assert responses[1].final_option.option_id == "c"
@@ -113,9 +112,10 @@ def test_revisits_accumulate_time():
 
 def test_mode_defaults_to_view_intervals_when_views_exist():
     session = make_session([view_event("s1", 1, 0), answer_event("s1", 1, "a", 10)])
-    assert pick_srt_mode(session) is SrtMode.VIEW_INTERVALS
+    assert pick_log_srt_mode([session]) is SrtMode.VIEW_INTERVALS
     answers_only = make_session([answer_event("s1", 1, "a", 10)])
-    assert pick_srt_mode(answers_only) is SrtMode.ANSWER_INTERVALS
+    assert pick_log_srt_mode([answers_only]) is SrtMode.ANSWER_INTERVALS
+    assert pick_log_srt_mode([make_session([])]) is SrtMode.ANSWER_INTERVALS
 
 
 def test_log_mode_is_view_intervals_when_any_session_has_views():
@@ -128,21 +128,20 @@ def test_log_mode_is_view_intervals_when_any_session_has_views():
         end=30_000,
         student="s2",
     )
-    assert pick_srt_mode(answerer) is SrtMode.ANSWER_INTERVALS
     mode = pick_log_srt_mode([answerer, viewer])
     assert mode is SrtMode.VIEW_INTERVALS
     assert pick_log_srt_mode([answerer]) is SrtMode.ANSWER_INTERVALS
-    # The log's mode overrides the per-session pick for the answer-only session.
+    # The mixed log's mode times the answer-only session by views too.
     responses = derive_responses(answerer, spec, mode)
     assert responses[1].srt_s == 20.0
     assert responses[2].srt_s == 10.0
-    assert derive_responses(answerer, spec)[1].srt_s == 0.0
+    assert derive_responses(answerer, spec, SrtMode.ANSWER_INTERVALS)[1].srt_s == 0.0
 
 
 def test_untouched_questions_get_zero_rows():
     spec = make_spec(n=3)
     session = make_session([answer_event("s1", 2, "a", 100)])
-    responses = derive_responses(session, spec)
+    responses = derive_responses(session, spec, SrtMode.ANSWER_INTERVALS)
     assert responses[1].markings == 0
     assert responses[1].final_option is None
     assert responses[1].srt_s == 0.0
@@ -152,7 +151,7 @@ def test_untouched_questions_get_zero_rows():
 def test_empty_session_yields_all_zero():
     spec = make_spec(n=2)
     session = make_session([], student="s9")
-    responses = derive_responses(session, spec)
+    responses = derive_responses(session, spec, SrtMode.ANSWER_INTERVALS)
     assert all(r.markings == 0 and r.srt_s == 0.0 for r in responses.values())
 
 
@@ -161,17 +160,17 @@ def test_answer_sequence_preserves_order_and_duplicates():
     session = make_session(
         [answer_event("s1", q, o, i * 1000) for i, (q, o) in enumerate(entries)]
     )
-    assert derive_answer_sequence(session).entries == tuple(entries)
+    assert derive_answer_sequence(session).question_ids == (1, 2, 3, 5, 1, 4, 1)
 
 
 def test_answer_sequence_ignores_views():
     session = make_session([view_event("s1", 1, 0), view_event("s1", 2, 10)])
-    assert derive_answer_sequence(session).entries == ()
+    assert derive_answer_sequence(session).question_ids == ()
 
 
 def test_answer_sequence_single_answer():
     session = make_session([answer_event("s1", 4, "b", 5)])
-    assert derive_answer_sequence(session).entries == ((4, "b"),)
+    assert derive_answer_sequence(session).question_ids == (4,)
 
 
 def test_sequence_restriction_keeps_order():
@@ -180,7 +179,7 @@ def test_sequence_restriction_keeps_order():
         [answer_event("s1", q, o, i) for i, (q, o) in enumerate(entries)]
     )
     restricted = derive_answer_sequence(session).restricted_to([1, 3])
-    assert restricted.entries == ((1, "a"), (3, "b"), (3, "a"), (1, "c"))
+    assert restricted.question_ids == (1, 3, 3, 1)
 
 
 def _random_session(rnd, spec):
@@ -218,5 +217,6 @@ def test_derivation_is_deterministic():
     spec = make_spec(n=4)
     rnd = random.Random(7)
     session = _random_session(rnd, spec)
-    assert derive_responses(session, spec) == derive_responses(session, spec)
+    mode = pick_log_srt_mode([session])
+    assert derive_responses(session, spec, mode) == derive_responses(session, spec, mode)
     assert derive_answer_sequence(session) == derive_answer_sequence(session)

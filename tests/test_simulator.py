@@ -10,6 +10,7 @@ from edumetrics import (
     QuestionSubset,
     SimulationError,
     SplitMix64,
+    SrtMode,
     StudentSession,
     assurance_degree,
     comprehension_for_response,
@@ -30,7 +31,7 @@ SPEC = make_spec(n=6)
 
 
 def pipeline(session, spec=SPEC):
-    responses = derive_responses(session, spec)
+    responses = derive_responses(session, spec, SrtMode.VIEW_INTERVALS)
     sequence = derive_answer_sequence(session)
     subset = QuestionSubset.whole(spec)
     return {
@@ -127,7 +128,7 @@ def test_assured_student_hits_the_analytic_expectations():
 
 def test_assured_times_stay_in_the_normal_band():
     session = simulate_student(profile_from_name("assured", 3), SPEC)
-    responses = derive_responses(session, SPEC)
+    responses = derive_responses(session, SPEC, SrtMode.VIEW_INTERVALS)
     for question in SPEC.questions:
         srt = responses[question.question_id].srt_s
         assert question.expected_time_s / 4 < srt <= question.expected_time_s
@@ -136,7 +137,7 @@ def test_assured_times_stay_in_the_normal_band():
 def test_guesser_answers_fast_and_caps_comprehension():
     for seed in range(10):
         session = simulate_student(profile_from_name("guesser", seed), SPEC)
-        responses = derive_responses(session, SPEC)
+        responses = derive_responses(session, SPEC, SrtMode.VIEW_INTERVALS)
         for question in SPEC.questions:
             response = responses[question.question_id]
             assert 0 < response.srt_s <= question.expected_time_s / 4
@@ -159,7 +160,7 @@ def test_self_corrector_reproduces_the_assurance_case():
 
 def test_self_corrector_defaults_to_multiple_markings():
     session = simulate_student(profile_from_name("self-corrector", 5), SPEC)
-    responses = derive_responses(session, SPEC)
+    responses = derive_responses(session, SPEC, SrtMode.VIEW_INTERVALS)
     assert all(r.markings >= 2 for r in responses.values())
     assert all(r.is_correct for r in responses.values())
 
@@ -224,7 +225,8 @@ def test_guesser_and_assured_separate_on_comprehension():
     guessers = simulate_class(profile_from_name("guesser", 200), spec, 20)
 
     def qucl(session):
-        return comprehension_for_subset(derive_responses(session, spec), spec, subset)
+        responses = derive_responses(session, spec, SrtMode.VIEW_INTERVALS)
+        return comprehension_for_subset(responses, spec, subset)
 
     assured_values = [qucl(s) for s in assured]
     guesser_values = [qucl(s) for s in guessers]
