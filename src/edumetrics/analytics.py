@@ -12,9 +12,9 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .composite_metrics import p
-from .domain_model import QuestionnaireSpec
+from .domain_model import QuestionSpec, QuestionnaireSpec
 from .errors import DomainError, check_int, check_range, check_ranges
-from .isolated_metrics import QuestionSubset, SubsetLike, level_of_disorder
+from .isolated_metrics import QuestionSubset, SubsetLike, _gather, level_of_disorder
 from .session_derivation import AnswerSequence, QuestionResponse
 
 ScorePair = tuple[float, float]
@@ -46,7 +46,8 @@ class PriorityRanking:
 
 @dataclass(frozen=True)
 class SrtComparison:
-    """Class mean response time of one question against its expected time."""
+    """Class mean response time of one question against its expected time. The
+    fields are the keys of a class.json ``srt_vs_expected`` row, in its order."""
 
     question_id: int
     mean_srt_s: float
@@ -128,14 +129,22 @@ def rank_priorities(
         ts, ws = zip(*pairs)
         check_ranges("ts", ts, 0, 10)
         check_ranges("ws", ws, 0, 10)
-        scored[element] = math.fsum(map(p, ts, ws)) / len(pairs) / 10.0
-    return rank_normalized(scored)
+        scored[element] = list(map(p, ts, ws))
+    return rank_mean_priorities(scored)
 
 
-def rank_normalized(priorities: Mapping[str | int, float]) -> list[PriorityRanking]:
-    """Rank known normalized priorities as :func:`rank_priorities` does, unchecked."""
-    order = sorted(priorities.items(), key=lambda item: (-item[1], item[0]))
+def rank_mean_priorities(priorities: Mapping[str | int, Sequence[float]]) -> list[PriorityRanking]:
+    """Rank by mean priority / 10, as :func:`rank_priorities` does; unchecked: none is empty."""
+    scored = {element: math.fsum(ps) / len(ps) / 10.0 for element, ps in priorities.items()}
+    order = sorted(scored.items(), key=lambda item: (-item[1], item[0]))
     return [PriorityRanking(element, np, rank) for rank, (element, np) in enumerate(order, start=1)]
+
+
+def compare_srt(question: QuestionSpec, srts: Sequence[float]) -> SrtComparison:
+    """One question's class mean response time against its expected time, within
+    it when at or under it; unchecked: ``srts`` is non-empty."""
+    mean, expected = math.fsum(srts) / len(srts), question.expected_time_s
+    return SrtComparison(question.question_id, mean, expected, mean <= expected)
 
 
 def srt_vs_expected(
@@ -151,12 +160,14 @@ def srt_vs_expected(
     """
     if not responses_per_student:
         raise DomainError("need at least one student")
-    rows = []
-    for qid in QuestionSubset.of(subset):
-        expected = spec.question(qid).expected_time_s
-        mean = math.fsum(r[qid].srt_s for r in responses_per_student) / len(responses_per_student)
-        rows.append(SrtComparison(qid, mean, expected, mean <= expected))
-    return rows
+    subset = QuestionSubset.of(subset)
+    columns = zip(*[_gather(responses, spec, subset) for responses in responses_per_student])
+    return [compare_srt(spec.question(q), [r.srt_s for r in c]) for q, c in zip(subset, columns)]
+
+
+def disorder_stats(disorders: Sequence[float]) -> tuple[float, float]:
+    """(mean, share of positive values) of a non-empty column of disorders; unchecked."""
+    return math.fsum(disorders) / len(disorders), sum(d > 0 for d in disorders) / len(disorders)
 
 
 def disorder_summary(
@@ -174,7 +185,4 @@ def disorder_summary(
     if question_ids is not None:
         keep = QuestionSubset.of(question_ids)
         sequences = [s.restricted_to(keep) for s in sequences]
-    disorders = [level_of_disorder(s) for s in sequences]
-    average = math.fsum(disorders) / len(disorders)
-    positive = sum(1 for d in disorders if d > 0) / len(disorders)
-    return average, positive
+    return disorder_stats([level_of_disorder(s) for s in sequences])

@@ -32,9 +32,9 @@ def shown(value: object) -> str:
 
 
 def check_range(name: str, value: float, lo: float, hi: float) -> None:
-    """Raise ``DomainError`` unless ``value`` lies in [lo, hi]. The bounds lie in [-FLOAT_MAX,
-    FLOAT_MAX], so no infinity, NaN or int too large for a float is accepted."""
-    if not lo <= value <= hi:
+    """Raise ``DomainError`` unless ``value`` lies in [lo, hi] and is not a bool. The bounds lie
+    in [-FLOAT_MAX, FLOAT_MAX], so no infinity, NaN or int too large for a float is accepted."""
+    if not lo <= value <= hi or type(value) is bool:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {shown(value)}")
 
 
@@ -53,8 +53,9 @@ def check_int(
 
 
 def check_ranges(name: str, values: Sequence[float], lo: float, hi: float) -> None:
-    """:func:`check_range` of each value; ``min([0.5, nan])`` is 0.5, hence ``isnan``."""
-    if values and not lo <= min(values) <= max(values) <= hi or any(map(math.isnan, values)):
+    """:func:`check_range` of each value; ``min([0.5, nan])`` is 0.5 and ``True`` compares as 1."""
+    if (values and not lo <= min(values) <= max(values) <= hi
+            or any(map(math.isnan, values)) or bool in map(type, values)):
         for value in values:
             check_range(name, value, lo, hi)
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .domain_model import QuestionnaireSpec
+from .domain_model import CORRECT_WEIGHT, QuestionnaireSpec
 from .errors import DomainError, check_int, check_range, shown
 from .session_derivation import AnswerSequence, QuestionResponse
 
@@ -89,15 +89,28 @@ def _gather(
     return picked
 
 
+def subset_scores(weights: Sequence[int], total_markings: int) -> tuple[float, float, float]:
+    """(ts, ws, ad) of a subset from its final-answer weights, 0 for an unanswered
+    question, and its marking total; unchecked. Only a correct answer weighs 4."""
+    count, hits = len(weights), weights.count(CORRECT_WEIGHT)
+    ad = hits / total_markings if total_markings else 0.0
+    return 10.0 * hits / count, 10.0 * sum(weights) / (4 * count), ad
+
+
+def _scores(
+    responses: Mapping[int, QuestionResponse], spec: QuestionnaireSpec, subset: SubsetLike
+) -> tuple[float, float, float]:
+    picked = _gather(responses, spec, subset)
+    return subset_scores([r.final_weight for r in picked], sum(r.markings for r in picked))
+
+
 def traditional_score(
     responses: Mapping[int, QuestionResponse],
     spec: QuestionnaireSpec,
     subset: SubsetLike,
 ) -> float:
     """10 times the fraction of correct final answers; unanswered counts as wrong."""
-    picked = _gather(responses, spec, subset)
-    hits = sum(1 for r in picked if r.is_correct)
-    return 10.0 * hits / len(picked)
+    return _scores(responses, spec, subset)[0]
 
 
 def error_rate(ts: float) -> float:
@@ -117,9 +130,7 @@ def weighted_score(
     questions contribute 0. The denominator is 4 per question, so the
     result lies in [0, 10].
     """
-    picked = _gather(responses, spec, subset)
-    total = sum(r.final_weight for r in picked)
-    return 10.0 * total / (4 * len(picked))
+    return _scores(responses, spec, subset)[1]
 
 
 def question_doubt(response: QuestionResponse) -> int:
@@ -137,12 +148,7 @@ def assurance_degree(
     A student who marks a lot but lands few correct answers shows low
     assurance; never changing a correct pick gives 1.
     """
-    picked = _gather(responses, spec, subset)
-    total_markings = sum(r.markings for r in picked)
-    if total_markings == 0:
-        return 0.0
-    hits = sum(1 for r in picked if r.is_correct)
-    return hits / total_markings
+    return _scores(responses, spec, subset)[2]
 
 
 def student_response_time(

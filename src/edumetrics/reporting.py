@@ -33,18 +33,19 @@ from .analytics import (
     approval_split,
     assign_group,
     classify_quadrant,
-    rank_normalized,
+    compare_srt,
+    disorder_stats,
+    rank_mean_priorities,
 )
 from .composite_metrics import p, qcl, qucl
 from .domain_model import (
-    CORRECT_WEIGHT,
     SCOPE_QUESTIONNAIRE,
     SCOPE_SUBJECT,
     SCOPE_TOPIC,
     QuestionnaireSpec,
     StudentSession,
 )
-from .isolated_metrics import question_doubt, transition_entropy
+from .isolated_metrics import question_doubt, subset_scores, transition_entropy
 from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
 
 
@@ -126,11 +127,11 @@ def compute_student(
     answers make one transition fewer than its markings, all in order inside a
     run of answers to one question, so one walk of the runs' heads counts only
     the step-downs for disorder (answers after one to a larger id).
-    The formulas :func:`qcl`, :func:`qucl` and :func:`p` run unchecked, as
-    every input is in range by construction: difficulty indices and expected
-    times are checked once per spec, answer weights in each ``AnswerOption``;
-    ts, ws and ad are ratios of counts; a ``StudentSession`` keeps its events
-    in time order and its end at or after the last one, so every gap is >= 0.
+    The formulas :func:`qcl`, :func:`subset_scores`, :func:`qucl` and :func:`p`
+    run unchecked, as every input is in range by construction: difficulty
+    indices and expected times are checked once per spec, answer weights in
+    each ``AnswerOption``; ts, ws and ad are ratios of counts; a session keeps
+    its events in time order and its end at or after the last: every gap is >= 0.
     """
     responses = derive_responses(session, spec, srt_mode)
     sequence = derive_answer_sequence(session)
@@ -156,19 +157,15 @@ def compute_student(
 
     subset_rows = []
     for (scope, element, qids), steps_down in zip(layout, descents):
-        count = len(qids)
         _, markings, _, weights, srts, qcls = zip(*[rows[q] for q in qids])
-        hits = weights.count(CORRECT_WEIGHT)  # only a correct final answer weighs 4
         total_markings = sum(markings)
-        ts = 10.0 * hits / count
-        ws = 10.0 * sum(weights) / (4 * count)
-        ad = hits / total_markings if total_markings else 0.0
+        ts, ws, ad = subset_scores(weights, total_markings)
         transitions = max(total_markings - 1, 0)
         subset_rows.append(SubsetRow(
             scope, element, ts, ws, ad,
             math.fsum(srts),  # srt_s
             transition_entropy(transitions - steps_down, steps_down),  # disorder
-            qucl(qcls, ad, count),
+            qucl(qcls, ad, len(qids)),
             p(ts, ws),  # priority
         ))
 
@@ -214,13 +211,11 @@ def _columns(
 def _ranking_rows(
     reports: Sequence[StudentMetricsReport], spec: QuestionnaireSpec, scope: str
 ) -> list[dict]:
-    priorities = {
-        element: math.fsum(row.priority for row in rows) / len(rows) / 10.0
-        for element, _, rows in _columns(reports, spec, scope)
-    }
+    columns = _columns(reports, spec, scope)
+    priorities = {element: [row.priority for row in rows] for element, _, rows in columns}
     return [
         {"rank": r.rank, scope: r.element, "normalized_priority": r.normalized_priority}
-        for r in rank_normalized(priorities)
+        for r in rank_mean_priorities(priorities)
     ]
 
 
@@ -238,6 +233,11 @@ def build_class_summary(
     for metric, column in zip(METRIC_KEYS, zip(*[_normalized(r.overall) for r in reports])):
         at_or_above, below = approval_split(column, threshold)
         splits.append({"metric": metric, "at_or_above": at_or_above, "below": below})
+
+    disorder = []
+    for subject, _, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE):
+        average, positive = disorder_stats([row.disorder for row in rows])
+        disorder.append({"subject": subject, "average": average, "percent_positive": positive})
 
     roster: dict[str, list[str]] = {label.value: [] for label in QuadrantLabel}
     for report in reports:
@@ -263,27 +263,11 @@ def build_class_summary(
         "quadrants": roster,
         "subject_priorities": _ranking_rows(reports, spec, SCOPE_SUBJECT),
         "topic_priorities": _ranking_rows(reports, spec, SCOPE_TOPIC),
-        # Mean response time per question, as in analytics.srt_vs_expected,
-        # read from each question's column of rows.
         "srt_vs_expected": [
-            {
-                "question_id": question.question_id,
-                "mean_srt_s": (mean := math.fsum(row.srt_s for row in rows) / len(rows)),
-                "expected_time_s": question.expected_time_s,
-                "within_expected": mean <= question.expected_time_s,
-            }
+            vars(compare_srt(question, [row.srt_s for row in rows]))
             for question, rows in zip(spec.questions, zip(*[r.questions for r in reports]))
         ],
-        # Mean disorder and share of students with positive disorder, as in
-        # analytics.disorder_summary, read from the rows compute_student made.
-        "disorder": [
-            {
-                "subject": subject,
-                "average": math.fsum(row.disorder for row in rows) / len(rows),
-                "percent_positive": sum(row.disorder > 0 for row in rows) / len(rows),
-            }
-            for subject, _, rows in _columns(reports, spec, SCOPE_SUBJECT, SCOPE_QUESTIONNAIRE)
-        ],
+        "disorder": disorder,
     }
 
 

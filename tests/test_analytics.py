@@ -191,6 +191,16 @@ def test_srt_vs_expected_needs_students():
         srt_vs_expected([], spec, [1])
 
 
+@pytest.mark.parametrize("qid, message", [
+    (1, "no response derived for question 1"),
+    (9, "question 9 is not in the spec"),
+])
+def test_srt_vs_expected_reads_responses_as_the_subset_metrics_do(qid, message):
+    spec = make_spec(n=1)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        srt_vs_expected([{}], spec, [qid])
+
+
 def seq(*ids):
     return AnswerSequence(ids)
 

@@ -1,7 +1,9 @@
 import argparse
 import codecs
+import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -638,6 +640,103 @@ def test_compute_json_format_writes_the_csv_runs_files(tmp_path):
     flat = {name: reports["csv"].pop(name) for name in ("students.csv", "questions.csv")}
     assert all(flat.values()) and len(reports["json"]) == 5
     assert reports["json"] == reports["csv"]
+
+
+@pytest.fixture(scope="module")
+def plain_run(tmp_path_factory):
+    """The spec, a log of 20 self-correctors (543 lines) and the report bytes of
+    its plain ``--format csv`` run, made once for the module."""
+    tmp_path = tmp_path_factory.mktemp("plain")
+    spec_path = write_spec(tmp_path)
+    events = simulate_events(tmp_path, spec_path, profile="self-corrector", count=20, seed=3)
+    out_dir = tmp_path / "out"
+    result = run_cli(
+        "compute", "--spec", str(spec_path), "--events", str(events), "--out", str(out_dir),
+        "--format", "csv",
+    )
+    assert result.returncode == 0, result.stderr
+    reports = report_bytes(out_dir)
+    assert len(reports) == 7 and all(reports.values())
+    return spec_path, events.read_text(encoding="utf-8"), reports
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def quote_every_field(text):
+    """Every field quoted: the parser's csv reader reads this copy."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv_rows(text))
+    return out.getvalue()
+
+
+def zero_pad_question_ids(text):
+    """Every question id written as 01: each row misses the parser's table of
+    spellings, and a second lookup resolves it."""
+    header, *rows = csv_rows(text)
+    padded = [[s, "0" + q if q else q, *rest] for s, q, *rest in rows]
+    return "".join(",".join(row) + "\n" for row in (header, *padded))
+
+
+def append_end_rows(text):
+    """An end row at each student's last timestamp, all after the last row: the
+    parser's column check takes them."""
+    last = {}
+    for student_id, _, _, _, timestamp_ms in csv_rows(text)[1:]:
+        last[student_id] = max(last.get(student_id, 0), int(timestamp_ms))
+    return text + "".join(f"{s},,end,,{t}\n" for s, t in last.items())
+
+
+def blank_line_after_every_row(text):
+    """The parser skips blank lines, as csv does."""
+    return text.replace("\n", "\n\n")
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [quote_every_field, zero_pad_question_ids, append_end_rows, blank_line_after_every_row],
+    ids=lambda rewrite: rewrite.__name__,
+)
+def test_compute_reads_a_rewritten_log_to_the_plain_runs_bytes(plain_run, tmp_path, rewrite):
+    spec_path, text, plain = plain_run
+    log = tmp_path / "events.csv"
+    log.write_bytes(rewrite(text).encode())
+    out_dir = tmp_path / "out"
+    result = run_cli(
+        "compute", "--spec", str(spec_path), "--events", str(log), "--out", str(out_dir),
+        "--format", "csv",
+    )
+    assert result.returncode == 0, result.stderr
+    assert report_bytes(out_dir) == plain
+
+
+def with_faulty_row(text, variant):
+    """The log with ``x9,1,view,,-1`` as line 301, with LF, CRLF or CR line
+    ends, or LF with every field quoted."""
+    lines = text.split("\n")
+    lines.insert(300, "x9,1,view,,-1")
+    lf = "\n".join(lines)
+    ends = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+    return quote_every_field(lf) if variant == "quoted" else lf.replace("\n", ends[variant])
+
+
+@pytest.mark.parametrize("variant", ["lf", "crlf", "cr", "quoted"])
+def test_compute_names_line_301_of_a_faulty_log_and_writes_nothing(plain_run, tmp_path, variant):
+    spec_path, text, _ = plain_run
+    log = tmp_path / f"bad-{variant}.csv"
+    log.write_bytes(with_faulty_row(text, variant).encode())
+    out_dir = tmp_path / "out"
+    result = run_cli(
+        "compute", "--spec", str(spec_path), "--events", str(log), "--out", str(out_dir),
+        "--format", "csv",
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: {log}: timestamp_ms must be a non-negative integer "
+        "(field=timestamp_ms, line=301)\n"
+    )
+    assert not out_dir.exists()
 
 
 def test_compute_events_with_bom_not_utf8_names_the_line(tmp_path, capsys):

@@ -227,6 +227,13 @@ CASES = [
                  id="comprehension-srt-huge"),
     pytest.param(lambda: comprehension(expected_time_s=HUGE), DomainError, None, None,
                  id="comprehension-expected-time-huge"),
+    # No bool is a number: True == 1, but no time, score or level is a bool.
+    pytest.param(lambda: comprehension(srt_s=True), DomainError, None, None,
+                 id="comprehension-srt-boolean"),
+    pytest.param(lambda: comprehension(expected_time_s=True), DomainError, None, None,
+                 id="comprehension-expected-time-boolean"),
+    pytest.param(lambda: QuestionResponse(1, 0, None, True), DomainError, None, None,
+                 id="response-srt-boolean"),
     pytest.param(lambda: max_comprehension_level(2, 3), DomainError, None, None, id="mcl-indices"),
     pytest.param(lambda: effective_comprehension_level(3, 2, 4), DomainError, None, None,
                  id="ecl-indices"),
@@ -311,6 +318,11 @@ CASES = [
                  id="derive-mode-none"),
     pytest.param(lambda: derive_responses(session(), SPEC, "view"), DomainError, None, None,
                  id="derive-mode-string"),
+    # analytics: each student's responses are read through isolated_metrics._gather.
+    pytest.param(lambda: srt_vs_expected([{}], SPEC, [1]), DomainError, None, None,
+                 id="srt-vs-expected-no-response"),
+    pytest.param(lambda: srt_vs_expected([{}], SPEC, [9]), DomainError, None, None,
+                 id="srt-vs-expected-unknown-question"),
     # reporting
     pytest.param(lambda: compute_student(answer_9(), SPEC, SrtMode.ANSWER_INTERVALS),
                  DomainError, None, None, id="compute-unknown-question"),
@@ -403,13 +415,13 @@ def with_each(value, replace_number):
 
 def range_cases():
     """Per numeric input: NaN, both infinities, an int too large for a float of
-    each sign and a finite value past each finite bound, in each position of a
-    sequence, in an otherwise valid call."""
+    each sign, ``True`` and a finite value past each finite bound, in each
+    position of a sequence, in an otherwise valid call."""
     for function, (_, ranges) in FLOAT_INPUTS.items():
         arguments = valid_arguments(function)
         for name, (lo, hi) in ranges.items():
             bad = [NAN, INF, -INF] + [b for b in (lo - 1, hi + 1) if math.isfinite(b)]
-            for x, shown in [*((b, b) for b in bad), (HUGE, "huge"), (-HUGE, "-huge")]:
+            for x, shown in [*((b, b) for b in bad), (HUGE, "huge"), (-HUGE, "-huge"), (True, "bool")]:
                 for i, value in enumerate(with_each(arguments[name], lambda _: x)):
                     call = partial(function, **{**arguments, name: value})
                     yield pytest.param(call, DomainError, None, None,
