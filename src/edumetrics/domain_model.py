@@ -211,6 +211,22 @@ class QuestionnaireSpec:
         return table
 
     @cached_property
+    def _question_columns(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The questions' options by id, qdi, cdi and expected times, one tuple
+        per fact in question order. Built once per spec; read by the compute path."""
+        return tuple(zip(*[(q._options_by_id, q.qdi, q.cdi, q.expected_time_s)
+                           for q in self.questions]))
+
+    @cached_property
+    def _subset_getters(self) -> tuple[itemgetter, ...]:
+        """Per row of ``subset_layout``, the getter of its questions' entries, as
+        a tuple, from a column in question order; a one-question set takes a
+        one-element slice, so it too gets a tuple. Built once per spec."""
+        positions = ([q - 1 for q in ids] for _, _, ids in self.subset_layout)
+        return tuple(itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1))
+                     for p in positions)
+
+    @cached_property
     def subsets_of_question(self) -> tuple[tuple[int, ...], ...]:
         """Per question, the indices into ``subset_layout`` of the question
         sets that hold it, ascending. Built once per spec."""

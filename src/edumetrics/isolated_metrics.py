@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .domain_model import CORRECT_WEIGHT, QuestionnaireSpec
+from .domain_model import CORRECT_WEIGHT, SCOPE_SUBJECT, SCOPE_TOPIC, QuestionnaireSpec
 from .errors import DomainError, check_int, check_range, shown
 from .session_derivation import AnswerSequence, QuestionResponse
 
@@ -47,31 +47,36 @@ class QuestionSubset:
 
     @classmethod
     def whole(cls, spec: QuestionnaireSpec) -> "QuestionSubset":
-        return cls(tuple(q.question_id for q in spec.questions))
+        return cls(spec.subset_layout[0][2])
 
     @classmethod
     def for_subject(cls, spec: QuestionnaireSpec, subject: str) -> "QuestionSubset":
-        ids = tuple(q.question_id for q in spec.questions if q.subject == subject)
+        ids = _layout_ids(spec, SCOPE_SUBJECT, subject)
         if not ids:
             raise DomainError(f"no questions tagged with subject {subject!r}")
         return cls(ids)
 
     @classmethod
     def for_topic(cls, spec: QuestionnaireSpec, topic_id: int) -> "QuestionSubset":
-        ids = tuple(q.question_id for q in spec.questions if topic_id in q.topic_ids)
+        ids = _layout_ids(spec, SCOPE_TOPIC, topic_id)
         if not ids:
             raise DomainError(f"no questions tagged with topic {shown(topic_id)}")
         return cls(ids)
 
 
+def _layout_ids(spec: QuestionnaireSpec, scope: str, element: str | int) -> tuple[int, ...]:
+    """The question ids of the scope's element in ``spec.subset_layout``; () when absent."""
+    return next((ids for kind, e, ids in spec.subset_layout if kind == scope and e == element), ())
+
+
 def subject_subsets(spec: QuestionnaireSpec) -> dict[str, QuestionSubset]:
     """One subset per subject, in order of first appearance."""
-    return {s: QuestionSubset.for_subject(spec, s) for s in spec.subjects()}
+    return {e: QuestionSubset(ids) for kind, e, ids in spec.subset_layout if kind == SCOPE_SUBJECT}
 
 
 def topic_subsets(spec: QuestionnaireSpec) -> dict[int, QuestionSubset]:
     """One subset per topic id, ascending."""
-    return {t: QuestionSubset.for_topic(spec, t) for t in spec.topics()}
+    return {e: QuestionSubset(ids) for kind, e, ids in spec.subset_layout if kind == SCOPE_TOPIC}
 
 
 def _gather(

@@ -46,7 +46,9 @@ from .domain_model import (
     StudentSession,
 )
 from .isolated_metrics import question_doubt, subset_scores, transition_entropy
-from .session_derivation import SrtMode, derive_answer_sequence, derive_responses
+from .session_derivation import QuestionResponse, SrtMode, derive_answer_sequence, derive_responses
+
+_FINAL_WEIGHT = QuestionResponse.final_weight.fget  # the property, to map over responses
 
 
 class GroupIndices(NamedTuple):
@@ -122,8 +124,9 @@ def compute_student(
 ) -> StudentMetricsReport:
     """Derive one student's responses and build their full metric report.
 
-    Each per-question fact is computed once; each row of ``spec.subset_layout``
-    sums them in the subset's order, as the metric definitions do. A subset's
+    Each per-question fact is computed once, as one column in question order;
+    each row of ``spec.subset_layout`` sums the entries its getter picks from
+    the columns, in the subset's order, as the metric definitions do. A subset's
     answers make one transition fewer than its markings, all in order inside a
     run of answers to one question, so one walk of the runs' heads counts only
     the step-downs for disorder (answers after one to a larger id).
@@ -133,19 +136,17 @@ def compute_student(
     each ``AnswerOption``; ts, ws and ad are ratios of counts; a session keeps
     its events in time order and its end at or after the last: every gap is >= 0.
     """
-    responses = derive_responses(session, spec, srt_mode)
+    responses = derive_responses(session, spec, srt_mode).values()
     sequence = derive_answer_sequence(session)
 
-    # Question rows indexed by question id; slot 0 is unused.
-    rows: list = [None]
-    for question in spec.questions:
-        response = responses[question.question_id]
-        w, srt_s = response.final_weight, response.srt_s
-        # Rows are built with positional arguments, cheaper than keywords.
-        rows.append(QuestionRow(
-            question.question_id, response.markings, question_doubt(response), w, srt_s,
-            qcl(question.qdi, question.cdi, w, srt_s, question.expected_time_s),
-        ))
+    # One column per question fact, in question order.
+    _, qdis, cdis, times = spec._question_columns
+    qids, markings, _, srts = zip(*responses)
+    weights = tuple(map(_FINAL_WEIGHT, responses))
+    qcls = tuple(map(qcl, qdis, cdis, weights, srts, times))
+    doubts = map(question_doubt, responses)
+    rows = tuple(map(tuple.__new__, repeat(QuestionRow),
+                     zip(qids, markings, doubts, weights, srts, qcls)))
 
     # Per subset: last question id answered (0: none) and step-downs.
     layout, holders = spec.subset_layout, spec.subsets_of_question
@@ -156,23 +157,22 @@ def compute_student(
             last[i] = qid
 
     subset_rows = []
-    for (scope, element, qids), steps_down in zip(layout, descents):
-        _, markings, _, weights, srts, qcls = zip(*[rows[q] for q in qids])
-        total_markings = sum(markings)
-        ts, ws, ad = subset_scores(weights, total_markings)
+    for (scope, element, ids), pick, steps_down in zip(layout, spec._subset_getters, descents):
+        total_markings = sum(pick(markings))
+        ts, ws, ad = subset_scores(pick(weights), total_markings)
         transitions = max(total_markings - 1, 0)
-        subset_rows.append(SubsetRow(
+        subset_rows.append(tuple.__new__(SubsetRow, (
             scope, element, ts, ws, ad,
-            math.fsum(srts),  # srt_s
+            math.fsum(pick(srts)),  # srt_s
             transition_entropy(transitions - steps_down, steps_down),  # disorder
-            qucl(qcls, ad, len(qids)),
+            qucl(pick(qcls), ad, len(ids)),
             p(ts, ws),  # priority
-        ))
+        )))
 
     overall = subset_rows[0]
     return StudentMetricsReport(
         student_id=session.student_id,
-        questions=tuple(rows[1:]),
+        questions=rows,
         subsets=tuple(subset_rows),
         quadrant=classify_quadrant(overall.ad, overall.qucl, threshold),
     )
@@ -301,7 +301,8 @@ class _RowFormat:
     run (``indent``: a line break plus the rows' indent) is the rows as objects
     of their fields, comma-separated. A CSV run (``indent`` None) is one line
     per row, each between the next cells of ``head`` and ``tail``: arguments,
-    never template text, since ids and names may hold ``%``."""
+    never template text, since ids and names may hold ``%``. A JSON run of a
+    class without ``%s`` fields takes the rows' fields as they stand."""
 
     def __init__(self, cls: type):
         hints = get_type_hints(cls)
@@ -322,6 +323,8 @@ class _RowFormat:
                 line = "{" + inner + ("," + inner).join(self.items) + indent + "}"
                 separator = "," + indent
             self.templates[key] = separator.join([line] * len(rows))
+        if indent is not None and not self.converted:  # the rows' fields, untransposed
+            return self.templates[key] % tuple(chain.from_iterable(rows))
         columns = list(zip(*rows))
         for i in self.converted:
             columns[i] = map(cells.__getitem__, zip(columns[i], map(type, columns[i])))

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable
+from itertools import groupby, repeat
+from operator import itemgetter, truediv
+from typing import Iterable, NamedTuple
 
 from .domain_model import AnswerOption, EventKind, QuestionnaireSpec, StudentSession
 from .errors import FLOAT_MAX, DomainError, check_int, check_range, shown
@@ -40,21 +40,35 @@ class SrtMode(Enum):
     ANSWER_INTERVALS = "answer"
 
 
-@dataclass(frozen=True)
-class QuestionResponse:
-    """What a student did on one question: markings, final pick, time."""
-
+class _ResponseFields(NamedTuple):
     question_id: int
     markings: int
     final_option: AnswerOption | None
     srt_s: float
 
-    def __post_init__(self) -> None:
-        check_int("question_id", self.question_id, 1)
-        check_int("markings", self.markings, 0)
-        if (self.final_option is not None) != (self.markings >= 1):
+
+class QuestionResponse(_ResponseFields):
+    """What a student did on one question: markings, final pick, time.
+
+    An immutable named tuple, read by field name or by unpacking. Building
+    one, ``_make`` and ``_replace`` included, checks its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, question_id: int, markings: int, final_option: AnswerOption | None, srt_s: float
+    ) -> QuestionResponse:
+        check_int("question_id", question_id, 1)
+        check_int("markings", markings, 0)
+        if (final_option is not None) != (markings >= 1):
             raise DomainError("final_option must be present exactly when markings >= 1")
-        check_range("srt_s", self.srt_s, 0, FLOAT_MAX)
+        check_range("srt_s", srt_s, 0, FLOAT_MAX)
+        return tuple.__new__(cls, (question_id, markings, final_option, srt_s))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> QuestionResponse:
+        return cls(*iterable)
 
     @property
     def is_correct(self) -> bool:
@@ -135,16 +149,20 @@ def derive_responses(
     if (unknown := max(srt_ms, default=0)) > spec.question_count:
         raise DomainError(f"question {shown(unknown)} is not in the spec")
 
-    # Each response is built bare, as _parse_columns builds a session: the markings
-    # are counts, the option is the spec's and the time a sum of gaps below MAX_TIMESTAMP_MS.
-    responses = {}
-    for question in spec.questions:
-        qid = question.question_id
-        option = question.option(final_option_id[qid]) if qid in final_option_id else None
-        responses[qid] = response = object.__new__(QuestionResponse)
-        vars(response).update(question_id=qid, markings=markings.get(qid, 0),
-                              final_option=option, srt_s=srt_ms.get(qid, 0) / 1000.0)
-    return responses
+    # Each response is built bare, a column per field, as _parse_columns builds a
+    # session: the markings are counts, the option is the spec's and the time a
+    # sum of gaps below MAX_TIMESTAMP_MS.
+    qids = range(1, spec.question_count + 1)
+    options_by_id, _, _, _ = spec._question_columns
+    options = list(map(dict.get, options_by_id, map(final_option_id.get, qids)))
+    if options.count(None) != len(qids) - len(final_option_id):  # an option the question lacks
+        for question in spec.questions:
+            if question.question_id in final_option_id:
+                question.option(final_option_id[question.question_id])
+    marks = map(markings.get, qids, repeat(0))
+    srts = map(truediv, map(srt_ms.get, qids, repeat(0)), repeat(1000.0))
+    return dict(zip(qids, map(tuple.__new__, repeat(QuestionResponse),
+                              zip(qids, marks, options, srts))))
 
 
 def derive_answer_sequence(session: StudentSession) -> AnswerSequence:

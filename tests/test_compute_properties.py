@@ -126,11 +126,12 @@ def _reference_responses(session, spec, mode):
 
 
 def _subset(spec, row):
+    """The row's question set, read from the questions, not from ``spec.subset_layout``."""
     if row.scope == "questionnaire":
-        return QuestionSubset.whole(spec)
+        return QuestionSubset([q.question_id for q in spec.questions])
     if row.scope == "subject":
-        return QuestionSubset.for_subject(spec, row.element)
-    return QuestionSubset.for_topic(spec, row.element)
+        return QuestionSubset([q.question_id for q in spec.questions if q.subject == row.element])
+    return QuestionSubset([q.question_id for q in spec.questions if row.element in q.topic_ids])
 
 
 @st.composite
@@ -149,11 +150,14 @@ def _one_answer(view_srt_ms):
                                 session_end_ms=1000 + view_srt_ms)
 
 
-def _steps(subjects, *steps):
-    """One question per letter of ``subjects``, in that subject, and a session
-    of ``steps`` 1.5 s apart: (question id, option id) is an answer,
-    (question id, None) a view."""
-    spec = make_spec([make_question(q, subject=s) for q, s in enumerate(subjects, start=1)])
+def _steps(subjects, *steps, topics=None):
+    """One question per letter of ``subjects``, in that subject and in the
+    topics of its entry of ``topics`` (none when omitted), and a session of
+    ``steps`` 1.5 s apart: (question id, option id) is an answer, (question
+    id, None) a view."""
+    topics = topics or [()] * len(subjects)
+    spec = make_spec([make_question(q, subject=s, topics=t)
+                      for q, (s, t) in enumerate(zip(subjects, topics), start=1)])
     events = tuple(
         AssessmentEvent("s", qid, EventKind.VIEW if option_id is None else EventKind.ANSWER,
                         option_id, 1500 * i)
@@ -172,6 +176,9 @@ def _steps(subjects, *steps):
 @example(case=_steps("ABA", (1, "a"), (2, "b"), (2, "a"), (2, "a"), (3, "c"), (1, "e")))
 # In both modes q1, q1, a view of q2, then q1 is one run of three answers.
 @example(case=_steps("AB", (1, "a"), (1, "b"), (2, None), (1, "c")))
+# Subject B holds question 3 alone and topic 2 question 2 alone: one-element getters.
+@example(case=_steps("AAB", (3, "b"), (2, None), (2, "a"), (2, "c"), (1, "e"), (3, "a"),
+                     topics=[(1,), (1, 2), (1,)]))
 def test_compute_student_equals_metric_definitions(case):
     spec, session = case
     sequence = derive_answer_sequence(session)

@@ -41,12 +41,57 @@ def test_question_response_rejects_option_marking_mismatch(markings, final_optio
         QuestionResponse(question_id=1, markings=markings, final_option=final_option, srt_s=0.0)
 
 
+OPTION = AnswerOption("a", 4, 5)
+RESPONSE = QuestionResponse(1, 2, OPTION, 1.5)
+
+
+def test_question_response_is_an_immutable_named_tuple():
+    assert RESPONSE == (1, 2, OPTION, 1.5)
+    assert hash(RESPONSE) == hash((1, 2, OPTION, 1.5))
+    assert RESPONSE._fields == ("question_id", "markings", "final_option", "srt_s")
+    assert (RESPONSE.final_weight, RESPONSE.is_correct) == (4, True)
+    replaced = RESPONSE._replace(srt_s=3.0)
+    assert (type(replaced), replaced) == (QuestionResponse, (1, 2, OPTION, 3.0))
+    assert QuestionResponse._make((1, 0, None, 0.0)) == (1, 0, None, 0.0)
+    with pytest.raises(AttributeError):
+        RESPONSE.markings = 3
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"question_id": 0}, "question_id must be an integer in [1, inf), got 0"),
+    ({"question_id": True}, "question_id must be an integer in [1, inf), got True"),
+    ({"markings": -1}, "markings must be an integer in [0, inf), got -1"),
+    ({"markings": 0}, "final_option must be present exactly when markings >= 1"),
+    ({"final_option": None}, "final_option must be present exactly when markings >= 1"),
+    ({"srt_s": -1.0}, "srt_s must lie in [0, 1.7976931348623157e+308], got -1.0"),
+])
+@pytest.mark.parametrize("build", ["constructor", "_make", "_replace"])
+def test_question_response_checks_every_way_it_is_built(fields, message, build):
+    values = {**RESPONSE._asdict(), **fields}
+    with pytest.raises(DomainError) as err:
+        if build == "constructor":
+            QuestionResponse(**values)
+        elif build == "_make":
+            QuestionResponse._make(values.values())
+        else:
+            RESPONSE._replace(**fields)
+    assert str(err.value) == message
+
+
 def test_derive_rejects_an_option_the_question_does_not_offer():
     session = make_session([answer_event("s1", 2, "z", 0)])
     for mode in SrtMode:
         with pytest.raises(ValidationError) as err:
             derive_responses(session, make_spec(n=2), mode)
         assert (err.value.field, err.value.question_id) == ("option_id", 2)
+
+
+def test_derive_raises_for_the_first_unknown_option_in_spec_order():
+    session = make_session([answer_event("s1", 3, "z", 0), answer_event("s1", 1, "y", 1000)])
+    for mode in SrtMode:
+        with pytest.raises(ValidationError, match="^unknown option_id 'y'") as err:
+            derive_responses(session, make_spec(n=3), mode)
+        assert (err.value.field, err.value.question_id) == ("option_id", 1)
 
 
 def test_derive_rejects_a_question_the_spec_lacks_where_the_mode_reads_it():
