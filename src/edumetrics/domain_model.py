@@ -496,8 +496,10 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
 def _field_batches(text: str) -> Iterator[list[str]]:
     """The fields of the rows under the header, one flat list per batch of
     non-blank rows: a plain log (no ``"``, CR or NUL) split on ``,`` slice by
-    slice, any other read by one ``csv.reader``. Raises ValueError or csv.Error
-    where csv would not read five-field rows under the exact header."""
+    slice, any other read by one ``csv.reader``. A plain slice's rows are
+    joined with ``"\r,"``, so each timestamp but the last ends in a CR, which
+    ``int`` skips. Raises ValueError or csv.Error where csv would not read
+    five-field rows under the exact header."""
     header = ",".join(EVENT_CSV_HEADER)
     plain = not ('"' in text or "\r" in text or "\0" in text)
     if plain and text[: len(header) + 1] in (header, header + "\n"):
@@ -505,12 +507,14 @@ def _field_batches(text: str) -> Iterator[list[str]]:
             rows = list(filter(None, text[start:end].split("\n")))
             if not rows:
                 continue
-            fields = ",".join(rows).split(",")
+            fields = "\r,".join(rows).split(",")
+            # Each row holds five fields exactly when there are five a row and the
+            # timestamps hold the CR of every row end.
+            if len(fields) != 5 * len(rows) or "".join(fields[4::5]).count("\r") != len(rows) - 1:
+                raise ValueError("not a table of five-field rows")
             # A slice within the csv field limit holds no field over it.
-            if set(map(str.count, rows, repeat(","))) != {4} or (
-                end - start > csv.field_size_limit() < max(map(len, fields))
-            ):
-                raise ValueError("not a table of five-field rows under the field limit")
+            if end - start > csv.field_size_limit() < max(map(len, ",".join(rows).split(","))):
+                raise ValueError("a field over the csv field limit")
             yield fields
         return
     reader = csv.reader(_lines(text))
@@ -527,7 +531,8 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
     """The sessions of ``text``, or None when a row fails a check. Each batch
     is checked as whole columns: one lookup per (question id, event, option
     id) in the spec's table and ``int`` over the timestamps. Only a batch
-    with a miss is read row by row, for ``end`` rows and other id spellings."""
+    with a miss is read row by row, for ``end`` rows and other id spellings.
+    The events of a run of one student's rows are built in one ``map``."""
     event_of = spec._event_fields
     by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     end_by_student: dict[str, int] = {}
@@ -537,8 +542,6 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
             stamps = list(map(int, fields[4::5]))
             _check_timestamp_ms(min(stamps), "timestamp_ms")
             _check_timestamp_ms(max(stamps), "timestamp_ms")
-            # A student's first row of any kind registers them.
-            id_of = {s: by_student.setdefault(s, (s, []))[0] for s in dict.fromkeys(student_ids)}
             keys = fields[1::5], fields[2::5], fields[3::5]
             try:
                 checked = list(map(event_of.__getitem__, zip(*keys)))
@@ -548,15 +551,40 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
                     else event_of[str(int(key[0])), key[1], key[2]]  # " 3", "03", "+3" are 3
                     for key in zip(*keys)
                 ]
+                for student_id in dict.fromkeys(student_ids):  # an end row registers too
+                    by_student.setdefault(student_id, (student_id, []))
                 for i in reversed([i for i, row in enumerate(checked) if row is None]):
                     if student_ids[i] in end_by_student:
                         return None
                     end_by_student[student_ids[i]] = stamps[i]
                     del student_ids[i], checked[i], stamps[i]
-            rows = zip(map(id_of.__getitem__, student_ids), *zip(*checked), stamps)
-            events = map(tuple.__new__, repeat(AssessmentEvent), rows)
-            for student_id, run in groupby(events, itemgetter(0)):
-                by_student[student_id][1].extend(run)
+                if not checked:
+                    continue
+            question_ids, kinds, option_ids = zip(*checked)
+            # A student's first row registers them, so sessions keep first-row order
+            # and every event holds its student's first id string. A run of one
+            # student's rows is built in one step; a batch with more than one run in
+            # 8 rows, as a log sorted by time has, looks up each row's id instead.
+            limit = len(student_ids) // 8
+            runs = [*islice(((s, len(list(run))) for s, run in groupby(student_ids)), limit + 1)]
+            if len(runs) > limit:  # runs are counted no further
+                id_of = {s: by_student.setdefault(s, (s, []))[0]
+                         for s in dict.fromkeys(student_ids)}
+                rows = zip(map(id_of.__getitem__, student_ids), question_ids, kinds, option_ids,
+                           stamps)
+                events = map(tuple.__new__, repeat(AssessmentEvent), rows)
+                for student_id, run in groupby(events, itemgetter(0)):
+                    by_student[student_id][1].extend(run)
+                continue
+            start = 0
+            for student_id, count in runs:
+                stop = start + count
+                student_id, events = by_student.setdefault(student_id, (student_id, []))
+                events.extend(map(tuple.__new__, repeat(AssessmentEvent), zip(
+                    repeat(student_id), question_ids[start:stop], kinds[start:stop],
+                    option_ids[start:stop], stamps[start:stop],
+                )))
+                start = stop
         # Every check of both constructors is made here, so both are built bare.
         sessions = []
         for student_id, events in by_student.values():

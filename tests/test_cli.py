@@ -10,11 +10,19 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from edumetrics import cli, reporting, serialize_questionnaire
+from edumetrics import (
+    cli,
+    event_log_csv,
+    profile_from_name,
+    reporting,
+    serialize_questionnaire,
+    simulate_class,
+)
 from edumetrics.cli import build_parser, main
 from helpers import make_question, make_spec
 
@@ -329,6 +337,31 @@ def test_compute_csv_format_writes_flat_files(tmp_path):
     assert students_csv.startswith("student_id,scope,element,ts,ws,ad,")
     questions_csv = (out_dir / "questions.csv").read_text(encoding="utf-8")
     assert len(questions_csv.strip().split("\n")) == 1 + 2 * 6
+
+
+def test_compute_memory_is_bounded_by_students_json_and_the_events(tmp_path):
+    # North star: memory is bounded by what the run needs. On 100 simulated
+    # self-correctors the traced peak of a whole run is the parse's: the log
+    # text and the events, about 160 B an event, with the compute and the
+    # students.json render just under it. The bound holds a margin of about a
+    # quarter over that peak.
+    spec = make_spec(n=40)
+    sessions = simulate_class(profile_from_name("self-corrector", 5), spec, 100)
+    events = sum(len(session.events) for session in sessions)
+    spec_path, events_path = tmp_path / "spec.json", tmp_path / "events.csv"
+    spec_path.write_text(serialize_questionnaire(spec), encoding="utf-8")
+    events_path.write_text(event_log_csv(sessions), encoding="utf-8")
+    del sessions
+    argv = ["compute", "--spec", str(spec_path), "--events", str(events_path),
+            "--out", str(tmp_path / "out"), "--format", "csv"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    students_json = (tmp_path / "out" / "students.json").stat().st_size
+    assert peak < students_json // 2 + 200 * events
 
 
 def test_compute_forced_srt_mode_changes_attribution(tmp_path):

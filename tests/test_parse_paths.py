@@ -120,6 +120,12 @@ def plain_rewrite(text):
 @settings(max_examples=400, deadline=None, database=None)
 @example(text=f"{HEADER}\ns1,1,view,,{'5':0>40}\n", chunk=64, field_limit=SMALL_FIELD_LIMIT)
 @example(text=f"{HEADER}\ns1,1,view,,{'5':0>32}\n", chunk=64, field_limit=SMALL_FIELD_LIMIT)
+# Two rows in one slice, each timestamp exactly at the limit: csv reads both.
+@example(
+    text=f"{HEADER}\ns1,1,view,,{'5':0>32}\ns1,1,view,,{'6':0>32}\n",
+    chunk=64,
+    field_limit=SMALL_FIELD_LIMIT,
+)
 @example(text=f"{HEADER}\ns1,1,view,,5\ns1,1,view,,\r6\n", chunk=64, field_limit=None)
 @example(text=f"{HEADER}\ns1,,end,,5\ns1,1,view,,3\ns1,,end,,6\n", chunk=1, field_limit=None)
 @example(text=f"{HEADER}\ns1,1,view,,7\ns1,,end,,6\n", chunk=1, field_limit=None)
@@ -173,6 +179,11 @@ def test_irregular_logs_parse_as_their_plain_rewrite(text, chunk):
         # Each pair of lines holds the ten fields of two valid rows, cut in the wrong place.
         ["s1,1,view,,5,s1", "1,view,,6"],
         ["s1,1,view,", "5,s1,1,view,,6"],
+        # 1 + 9 and 4 + 6 fields, which realign as two valid rows.
+        ["x", "1,view,,6,t,2,view,,7"],
+        ["s1,1,answer,a", "1001,s1,1,view,,6"],
+        # 7 + 3 fields: the second question id would end in the first row's CR.
+        ["s1,1,view,,5,s1,1", "view,,6"],
     ],
 )
 def test_rows_that_realign_as_columns_are_refused(rows):
@@ -235,11 +246,12 @@ def _padded_ids(text):
         (make_spec(n=40), True, (2, 5), PROFILES, "blank-lines"),
         (make_spec(n=40), True, (2, 5), PROFILES, "end-rows"),
         (make_spec(n=40), True, (2, 5), PROFILES, "padded-ids"),
+        (make_spec(n=40), True, (2, 5), PROFILES, "time-sorted"),
     ],
     ids=[
         "four-profiles-with-views", "many-topics-with-views", "self-correctors-without-views",
         "four-profiles-with-blank-lines", "four-profiles-with-end-rows",
-        "four-profiles-with-padded-ids",
+        "four-profiles-with-padded-ids", "four-profiles-sorted-by-time",
     ],
 )
 def test_simulated_logs_parse_whole_on_the_column_path(
@@ -257,10 +269,19 @@ def test_simulated_logs_parse_whole_on_the_column_path(
         text = f"{header}\n\n{rows}\n"
     elif variant == "padded-ids":
         text = _padded_ids(text)
+    elif variant == "time-sorted":  # students interleave, as in a server's export
+        header, *rows = text[:-1].split("\n")
+        rows.sort(key=lambda row: int(row.rsplit(",", 1)[1]))
+        text = "\n".join([header, *rows]) + "\n"
+        first_rows = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
+        sessions.sort(key=lambda session: first_rows.index(session.student_id))
     assert (",end," in text) == (variant == "end-rows")
     assert len(text) > 8 * domain_model._CHUNK_CHARS
     monkeypatch.setattr(domain_model, "_parse_rows", _rows_refused)
-    assert parse_event_log(text, spec) == sessions
+    parsed = parse_event_log(text, spec)
+    assert parsed == sessions
+    for session in parsed:  # each student's rows span slices
+        assert all(event.student_id is session.student_id for event in session.events)
 
 
 class _Checked(Exception):
