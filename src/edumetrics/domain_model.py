@@ -532,7 +532,8 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
     is checked as whole columns: one lookup per (question id, event, option
     id) in the spec's table and ``int`` over the timestamps. Only a batch
     with a miss is read row by row, for ``end`` rows and other id spellings.
-    The events of a run of one student's rows are built in one ``map``."""
+    A batch's events are built in one ``map``, and each run of one student's
+    rows is added to their session in one step."""
     event_of = spec._event_fields
     by_student: dict[str, tuple[str, list[AssessmentEvent]]] = {}
     end_by_student: dict[str, int] = {}
@@ -562,29 +563,15 @@ def _parse_columns(text: str, spec: QuestionnaireSpec) -> list[StudentSession] |
                     continue
             question_ids, kinds, option_ids = zip(*checked)
             # A student's first row registers them, so sessions keep first-row order
-            # and every event holds its student's first id string. A run of one
-            # student's rows is built in one step; a batch with more than one run in
-            # 8 rows, as a log sorted by time has, looks up each row's id instead.
-            limit = len(student_ids) // 8
-            runs = [*islice(((s, len(list(run))) for s, run in groupby(student_ids)), limit + 1)]
-            if len(runs) > limit:  # runs are counted no further
-                id_of = {s: by_student.setdefault(s, (s, []))[0]
-                         for s in dict.fromkeys(student_ids)}
-                rows = zip(map(id_of.__getitem__, student_ids), question_ids, kinds, option_ids,
-                           stamps)
-                events = map(tuple.__new__, repeat(AssessmentEvent), rows)
-                for student_id, run in groupby(events, itemgetter(0)):
-                    by_student[student_id][1].extend(run)
-                continue
-            start = 0
-            for student_id, count in runs:
-                stop = start + count
-                student_id, events = by_student.setdefault(student_id, (student_id, []))
-                events.extend(map(tuple.__new__, repeat(AssessmentEvent), zip(
-                    repeat(student_id), question_ids[start:stop], kinds[start:stop],
-                    option_ids[start:stop], stamps[start:stop],
-                )))
-                start = stop
+            # and every event holds its student's first id string. One map builds
+            # the batch's events; each run of one student's rows is taken in one step.
+            runs = [(by_student.setdefault(s, (s, [])), len(list(run)))
+                    for s, run in groupby(student_ids)]
+            ids = chain.from_iterable(repeat(student_id, n) for (student_id, _), n in runs)
+            rows = zip(ids, question_ids, kinds, option_ids, stamps)
+            events = map(tuple.__new__, repeat(AssessmentEvent), rows)
+            for (_, student_events), n in runs:
+                student_events.extend(islice(events, n))
         # Every check of both constructors is made here, so both are built bare.
         sessions = []
         for student_id, events in by_student.values():

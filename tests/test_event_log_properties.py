@@ -92,26 +92,19 @@ def test_event_log_round_trip(sessions, data):
                 option_id=event.option_id, timestamp_ms=event.timestamp_ms,
             )
             assert hash(event) == hash(rebuilt)
-    mixed = parse_event_log(interleave(data.draw, text), SPEC)
-    assert {s.student_id: s for s in mixed} == {s.student_id: s for s in sessions}
-
-
-@pytest.mark.parametrize("chunk", [1, 64])
-@settings(max_examples=60, deadline=None, database=None)
-@given(sessions=sessions_of(ADMITTED_IDS), data=st.data())
-def test_interleaved_rows_across_slices_parse_in_first_row_order(sessions, data, chunk):
-    # Small slices put a student's rows in many slices and batches. Sessions
-    # come in the order of their students' first rows, an end row included.
-    text = interleave(data.draw, event_log_csv(sessions))
+    # Slices of 1 and 64 characters put a student's rows in many slices and
+    # batches; the default one holds the whole log, so one batch holds runs of
+    # several rows. Sessions come in the order of their students' first rows.
+    text = interleave(data.draw, text)
     first_rows = dict.fromkeys(row.split(",")[0] for row in text[:-1].split("\n")[1:])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
-        mixed = parse_event_log(text, SPEC)
-    assert [s.student_id for s in mixed] == list(first_rows)
-    assert {s.student_id: s for s in mixed} == {s.student_id: s for s in sessions}
-    for session in mixed:
-        for event in session.events:
-            assert event.student_id is session.student_id
+    for chunk in (1, 64, domain_model._CHUNK_CHARS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(domain_model, "_CHUNK_CHARS", chunk)
+            mixed = parse_event_log(text, SPEC)
+        assert [s.student_id for s in mixed] == list(first_rows)
+        assert {s.student_id: s for s in mixed} == {s.student_id: s for s in sessions}
+        for session in mixed:
+            assert all(event.student_id is session.student_id for event in session.events)
 
 
 @settings(max_examples=300, deadline=None, database=None)

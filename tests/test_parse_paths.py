@@ -269,7 +269,7 @@ def test_simulated_logs_parse_whole_on_the_column_path(
         text = f"{header}\n\n{rows}\n"
     elif variant == "padded-ids":
         text = _padded_ids(text)
-    elif variant == "time-sorted":  # students interleave, as in a server's export
+    elif variant == "time-sorted":  # nearly every row is its own run of one student
         header, *rows = text[:-1].split("\n")
         rows.sort(key=lambda row: int(row.rsplit(",", 1)[1]))
         text = "\n".join([header, *rows]) + "\n"
