@@ -7,8 +7,10 @@ All aggregations consume immutable per-student results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .composite_metrics import p
@@ -71,10 +73,7 @@ def build_grouping(student_count: int) -> GroupingScheme:
 def assign_group(value: float, scheme: GroupingScheme) -> int:
     """1-based group whose [floor, ceiling) holds the value; 1.0 joins group k."""
     check_range("value", value, 0, 1)
-    for index, (_, ceiling) in enumerate(scheme.bounds):
-        if value < ceiling:
-            return index + 1
-    return scheme.k
+    return min(bisect_right(scheme.bounds, value, key=itemgetter(1)) + 1, scheme.k)
 
 
 def approval_split(values: Sequence[float], threshold: float) -> tuple[int, int]:

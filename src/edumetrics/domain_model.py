@@ -490,6 +490,7 @@ def parse_event_log(text: str, spec: QuestionnaireSpec) -> list[StudentSession]:
     sessions = _parse_columns(text, spec)
     if sessions is None:
         _parse_rows(text, spec)  # raises: the column check refuses only a faulty log
+        raise RuntimeError("the column check refused an event log that the row loop reads")
     return sessions
 
 

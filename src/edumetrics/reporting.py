@@ -9,8 +9,8 @@ Each rule behind the bytes is stated once:
 * JSON scalars are written by ``_json_scalar``, JSON key order is fixed by
   construction;
 * CSV cells are written by ``_csv_cell``, the only user of ``csv.writer``;
-* text of a value is memoized by (value, type), so ``1``, ``1.0`` and
-  ``True`` keep their own;
+* text of a value is memoized by ``_memo`` for each report, by (value,
+  type), so ``1``, ``1.0`` and ``True`` keep their own;
 * the per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are
   named tuples written from their field list by ``_RowFormat``, a block at a
   time: each student's questions or subsets are one %-template filled once,
@@ -24,6 +24,7 @@ import io
 import json
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import chain, groupby, repeat
 from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
@@ -277,19 +278,8 @@ _quote = json.encoder.encode_basestring_ascii
 _DECIMAL = "%.4f"  # every reported float: four fractional digits, as format() gives
 # %-directives by field type, as typing.get_type_hints resolves it.
 _DIRECTIVES = {int: "%d", float: _DECIMAL}
-
-
-class _Cells(dict):
-    """Text of each (value, type) key, worked out once per key by ``write``:
-    equal values of different types (``1``, ``1.0``, ``True``) stay apart."""
-
-    def __init__(self, write: Callable[[object], str]):
-        super().__init__()
-        self.write = write
-
-    def __missing__(self, key: tuple) -> str:
-        text = self[key] = self.write(key[0])
-        return text
+# A fresh memo of a cell writer per report, typed: 1, 1.0 and True keep their own text.
+_memo = lru_cache(maxsize=None, typed=True)
 
 
 class _RowFormat:
@@ -297,7 +287,7 @@ class _RowFormat:
     fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``. Each
     run of rows is written by one template per (row count, indent), built on
     first use and filled with one argument tuple: the rows' fields in order,
-    each ``%s`` field as the text ``cells`` holds for its (value, type). A JSON
+    each ``%s`` field as the text ``cells`` writes for it. A JSON
     run (``indent``: a line break plus the rows' indent) is the rows as objects
     of their fields, comma-separated. A CSV run (``indent`` None) is one line
     per row, each between the next cells of ``head`` and ``tail``: arguments,
@@ -312,7 +302,9 @@ class _RowFormat:
         self.converted = [i for i, d in enumerate(directives.values()) if d == "%s"]
         self.templates: dict[tuple[int, str | None], str] = {}
 
-    def block(self, rows: Sequence, cells: _Cells, indent: str | None, head=(), tail=()) -> str:
+    def block(
+        self, rows: Sequence, cells: Callable[[object], str], indent: str | None, head=(), tail=()
+    ) -> str:
         if not rows:  # no columns to zip, and the head and tail may be endless
             return ""
         key = (len(rows), indent)
@@ -327,7 +319,7 @@ class _RowFormat:
             return self.templates[key] % tuple(chain.from_iterable(rows))
         columns = list(zip(*rows))
         for i in self.converted:
-            columns[i] = map(cells.__getitem__, zip(columns[i], map(type, columns[i])))
+            columns[i] = map(cells, columns[i])
         if indent is None:
             columns = [head, *columns, tail]
         return self.templates[key] % tuple(chain.from_iterable(zip(*columns)))
@@ -358,12 +350,12 @@ def render_json(value) -> str:
     ``QuestionRow``, ``SubsetRow`` and ``GroupIndices`` values are written
     as objects of their fields."""
     out: list[str] = []
-    _render(value, "\n", out, _Cells(_json_scalar))
+    _render(value, "\n", out, _memo(_json_scalar))
     out.append("\n")
     return "".join(out)
 
 
-def _render(value, newline: str, out: list[str], cells: _Cells) -> None:
+def _render(value, newline: str, out: list[str], cells: Callable[[object], str]) -> None:
     """Append ``value``; ``newline`` is a line break plus the current indent.
     A row is a run of one; a list or tuple of rows of one class is one run."""
     kind = type(value)
@@ -408,9 +400,9 @@ def _csv_cell(value) -> str:
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """CSV of the header and rows; each has 2+ cells (a lone empty one is quoted)."""
-    cells = _Cells(_csv_cell)
+    cells = _memo(_csv_cell)
     return "".join([
-        ",".join([_DECIMAL % v if isinstance(v, float) else cells[v, type(v)] for v in row]) + "\n"
+        ",".join([_DECIMAL % v if isinstance(v, float) else cells(v) for v in row]) + "\n"
         for row in (header, *rows)
     ])
 
@@ -453,14 +445,14 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     group cells are empty in a report whose indices are not attached."""
     header = ["student_id", *SubsetRow._fields, "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
-    row_format, cells = _ROW_FORMATS[SubsetRow], _Cells(_csv_cell)
+    row_format, cells = _ROW_FORMATS[SubsetRow], _memo(_csv_cell)
     blank = "," * (1 + len(METRIC_KEYS)) + "\n"  # the quadrant and group cells
     unattached = (None,) * len(METRIC_KEYS)
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = repeat(cells[report.student_id, type(report.student_id)])
+        student = repeat(cells(report.student_id))
         tail = [report.quadrant.value, *(report.group_indices or unattached)]
-        overall = "".join(["," + cells[v, type(v)] for v in tail]) + "\n"
+        overall = "".join(["," + cells(v) for v in tail]) + "\n"
         ends = chain((overall,), repeat(blank))
         lines.append(row_format.block(report.subsets, cells, None, student, ends))
     return "".join(lines)
@@ -470,9 +462,9 @@ def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-question rows, written a student at a time from
     ``QuestionRow``'s field list."""
     header = ["student_id", *QuestionRow._fields]
-    row_format, cells = _ROW_FORMATS[QuestionRow], _Cells(_csv_cell)
+    row_format, cells = _ROW_FORMATS[QuestionRow], _memo(_csv_cell)
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = repeat(cells[report.student_id, type(report.student_id)])
+        student = repeat(cells(report.student_id))
         lines.append(row_format.block(report.questions, cells, None, student, repeat("\n")))
     return "".join(lines)

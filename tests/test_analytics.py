@@ -1,5 +1,7 @@
 import logging
+import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -73,11 +75,12 @@ def test_assign_group_rejects_out_of_range():
 
 def test_assign_group_is_total_and_unique():
     rnd = random.Random(3)
-    for count in (1, 2, 17, 33, 100):
+    for count in (1, 2, 17, 33, 100, 10_000, 2**20):
         scheme = build_grouping(count)
         values = [rnd.random() for _ in range(200)] + [0.0, 1.0]
-        values += [floor for floor, _ in scheme.bounds]
-        for value in values:
+        for bound in chain.from_iterable(scheme.bounds):
+            values += [bound, math.nextafter(bound, -1), math.nextafter(bound, 2)]
+        for value in filter(lambda v: 0 <= v <= 1, values):
             group = assign_group(value, scheme)
             assert 1 <= group <= scheme.k
             floor, ceiling = scheme.bounds[group - 1]

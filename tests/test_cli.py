@@ -339,12 +339,28 @@ def test_compute_csv_format_writes_flat_files(tmp_path):
     assert len(questions_csv.strip().split("\n")) == 1 + 2 * 6
 
 
-def test_compute_memory_is_bounded_by_students_json_and_the_events(tmp_path):
+def test_compute_memory_is_bounded_by_students_json_and_the_events(tmp_path, monkeypatch):
     # North star: memory is bounded by what the run needs. On 100 simulated
     # self-correctors the traced peak of a whole run is the parse's: the log
     # text and the events, about 160 B an event, with the compute and the
     # students.json render just under it. The bound holds a margin of about a
-    # quarter over that peak.
+    # quarter over that peak. Second bound: a render leaves behind no more than
+    # an eighth of students.json over what the class summary holds. Each level
+    # after a write leaves out the written text, which the caller drops next.
+    levels = []
+    summarize, write = cli.build_class_summary, cli._write_text
+
+    def traced_summary(*args):
+        summary = summarize(*args)
+        levels.append(tracemalloc.get_traced_memory()[0])
+        return summary
+
+    def traced_write(path, data):
+        write(path, data)
+        levels.append(tracemalloc.get_traced_memory()[0] - sys.getsizeof(data))
+
+    monkeypatch.setattr(cli, "build_class_summary", traced_summary)
+    monkeypatch.setattr(cli, "_write_text", traced_write)
     spec = make_spec(n=40)
     sessions = simulate_class(profile_from_name("self-corrector", 5), spec, 100)
     events = sum(len(session.events) for session in sessions)
@@ -362,6 +378,9 @@ def test_compute_memory_is_bounded_by_students_json_and_the_events(tmp_path):
         tracemalloc.stop()
     students_json = (tmp_path / "out" / "students.json").stat().st_size
     assert peak < students_json // 2 + 200 * events
+    after_summary, *after_writes = levels
+    assert len(after_writes) == 7
+    assert max(after_writes) < after_summary + students_json // 8
 
 
 def test_compute_forced_srt_mode_changes_attribution(tmp_path):

@@ -304,3 +304,13 @@ def test_the_empty_log_check_copies_nothing(monkeypatch):
     finally:
         tracemalloc.stop()
     assert checked.value.args[0] < 4096
+
+
+def test_a_log_the_check_refuses_and_the_row_loop_reads_is_a_program_fault(monkeypatch):
+    # The two paths disagree only through a fault of the program, not of the log:
+    # parse_event_log says so, where it would return None against its annotation.
+    spec = make_spec(n=4)
+    text = event_log_csv(_class(PROFILES, spec))
+    monkeypatch.setattr(domain_model, "_parse_columns", lambda text, spec: None)
+    with pytest.raises(RuntimeError, match="column check refused"):
+        parse_event_log(text, spec)
