@@ -12,9 +12,10 @@ Each rule behind the bytes is stated once:
 * text of a value is memoized by ``_memo`` for each report, by (value,
   type), so ``1``, ``1.0`` and ``True`` keep their own;
 * the per-student rows (``QuestionRow``, ``SubsetRow``, ``GroupIndices``) are
-  named tuples written from their field list by ``_RowFormat``, a block at a
-  time: each student's questions or subsets are one %-template filled once,
-  in students.json and in the flat CSVs.
+  named tuples written from their field list by ``_RowFormat``: in
+  students.json each student's questions or subsets are one %-template filled
+  once, in the flat CSVs each row is one template filled once; both take the
+  text of the ``%s`` fields from ``_RowFormat.filled``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, groupby, repeat
-from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_type_hints
 
 from .analytics import (
     GroupingScheme,
@@ -284,45 +285,38 @@ _memo = lru_cache(maxsize=None, typed=True)
 
 class _RowFormat:
     """The %-templates of a named-tuple row class, from its field list: ``int``
-    fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``. Each
-    run of rows is written by one template per (row count, indent), built on
-    first use and filled with one argument tuple: the rows' fields in order,
-    each ``%s`` field as the text ``cells`` writes for it. A JSON
-    run (``indent``: a line break plus the rows' indent) is the rows as objects
-    of their fields, comma-separated. A CSV run (``indent`` None) is one line
-    per row, each between the next cells of ``head`` and ``tail``: arguments,
-    never template text, since ids and names may hold ``%``. A JSON run of a
-    class without ``%s`` fields takes the rows' fields as they stand."""
+    fields use ``%d``, ``float`` fields ``_DECIMAL`` and the rest ``%s``.
+    ``csv_row`` is a row's cells joined by ``,``; a JSON run of rows
+    (``indent``: a line break plus the rows' indent) is written by one template
+    per (row count, indent), the rows as objects of their fields,
+    comma-separated, built on first use. Both fill from :meth:`filled`."""
 
     def __init__(self, cls: type):
         hints = get_type_hints(cls)
         directives = {name: _DIRECTIVES.get(hints[name], "%s") for name in cls._fields}
         self.items = [f"{_quote(name)}: {d}" for name, d in directives.items()]
-        self.csv_line = "%s," + ",".join(directives.values()) + "%s"
+        self.csv_row = ",".join(directives.values())
         self.converted = [i for i, d in enumerate(directives.values()) if d == "%s"]
-        self.templates: dict[tuple[int, str | None], str] = {}
+        self.templates: dict[tuple[int, str], str] = {}
 
-    def block(
-        self, rows: Sequence, cells: Callable[[object], str], indent: str | None, head=(), tail=()
-    ) -> str:
-        if not rows:  # no columns to zip, and the head and tail may be endless
-            return ""
-        key = (len(rows), indent)
-        if key not in self.templates:
-            line, separator = self.csv_line, ""
-            if indent is not None:
-                inner = indent + "  "
-                line = "{" + inner + ("," + inner).join(self.items) + indent + "}"
-                separator = "," + indent
-            self.templates[key] = separator.join([line] * len(rows))
-        if indent is not None and not self.converted:  # the rows' fields, untransposed
-            return self.templates[key] % tuple(chain.from_iterable(rows))
+    def filled(self, rows: Sequence, cells: Callable[[object], str]) -> Iterable[tuple]:
+        """The rows, each ``%s`` field as the text ``cells`` writes for it:
+        arguments, never template text, since ids and names may hold ``%``.
+        A class without ``%s`` fields, or an empty run, passes as it stands."""
+        if not self.converted or not rows:
+            return rows
         columns = list(zip(*rows))
         for i in self.converted:
             columns[i] = map(cells, columns[i])
-        if indent is None:
-            columns = [head, *columns, tail]
-        return self.templates[key] % tuple(chain.from_iterable(zip(*columns)))
+        return zip(*columns)
+
+    def block(self, rows: Sequence, cells: Callable[[object], str], indent: str) -> str:
+        key = (len(rows), indent)
+        if key not in self.templates:
+            inner = indent + "  "
+            line = "{" + inner + ("," + inner).join(self.items) + indent + "}"
+            self.templates[key] = ("," + indent).join([line] * len(rows))
+        return self.templates[key] % tuple(chain.from_iterable(self.filled(rows, cells)))
 
 
 _ROW_FORMATS = {cls: _RowFormat(cls) for cls in (QuestionRow, SubsetRow, GroupIndices)}
@@ -440,9 +434,9 @@ def subject_srt_csv(
 
 def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     """Flat form of the per-student reports, one line per subset row, written
-    a student at a time from ``SubsetRow``'s field list; the quadrant and
-    group columns are filled on the questionnaire row, the first, only. The
-    group cells are empty in a report whose indices are not attached."""
+    from ``SubsetRow``'s field list; the quadrant and group columns are filled
+    on the questionnaire row, the first, only. The group cells are empty in a
+    report whose indices are not attached."""
     header = ["student_id", *SubsetRow._fields, "quadrant"]
     header += [f"group_{metric}" for metric in METRIC_KEYS]
     row_format, cells = _ROW_FORMATS[SubsetRow], _memo(_csv_cell)
@@ -450,21 +444,23 @@ def students_csv(reports: Sequence[StudentMetricsReport]) -> str:
     unattached = (None,) * len(METRIC_KEYS)
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = repeat(cells(report.student_id))
+        student = cells(report.student_id) + ","
         tail = [report.quadrant.value, *(report.group_indices or unattached)]
-        overall = "".join(["," + cells(v) for v in tail]) + "\n"
-        ends = chain((overall,), repeat(blank))
-        lines.append(row_format.block(report.subsets, cells, None, student, ends))
+        end = "".join(["," + cells(v) for v in tail]) + "\n"
+        for line in map(row_format.csv_row.__mod__, row_format.filled(report.subsets, cells)):
+            lines += student, line, end
+            end = blank
     return "".join(lines)
 
 
 def questions_csv(reports: Sequence[StudentMetricsReport]) -> str:
-    """Flat form of the per-question rows, written a student at a time from
-    ``QuestionRow``'s field list."""
+    """Flat form of the per-question rows, written from ``QuestionRow``'s field
+    list."""
     header = ["student_id", *QuestionRow._fields]
     row_format, cells = _ROW_FORMATS[QuestionRow], _memo(_csv_cell)
     lines = [_csv_text(header, ())]
     for report in reports:
-        student = repeat(cells(report.student_id))
-        lines.append(row_format.block(report.questions, cells, None, student, repeat("\n")))
+        student = cells(report.student_id) + ","
+        for line in map(row_format.csv_row.__mod__, row_format.filled(report.questions, cells)):
+            lines += student, line, "\n"
     return "".join(lines)

@@ -5,10 +5,13 @@ Run ``python tests/mutants.py`` from anywhere. It copies ``src/``, ``tests/``,
 ``perfbench/`` and ``pyproject.toml`` to a temporary directory, so nothing is
 written inside the checkout, and checks that every named test passes on the
 unmutated copy. It then applies one mutant at a time, runs that mutant's tests
-with ``-x -q`` and exits non-zero naming each mutant that survives.
+with ``-x -q`` and counts the mutant killed only when pytest exits 1 (tests
+failed). It exits non-zero naming each mutant that survives or is broken: its
+tests could not run, as after an import error or with an unknown test id.
 
-Each old text occurs exactly once in its file (``tests/test_mutants.py``), so
-a change that moves a guarded line fails loudly and must re-point its mutant.
+Each old text occurs exactly once in its file, and each named test's file
+defines its test function (``tests/test_mutants.py``), so a change that moves
+a guarded line or renames a test fails loudly and must re-point its mutant.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ MUTANTS = (
         "src/edumetrics/reporting.py",
         "descents[i] += last[i] > qid",
         "descents[i] += last[i] >= qid",
-        ("tests/test_reporting.py::test_view_mode_report_bytes_match_recorded_digests",),
+        ("tests/test_reporting.py::"
+         "test_a_question_answered_again_after_another_is_no_step_down_in_its_topic",
+         "tests/test_reporting.py::test_view_mode_report_bytes_match_recorded_digests"),
     ),
     Mutant(
         "transitions taken as the markings",
@@ -78,6 +83,62 @@ MUTANTS = (
         "transitions = total_markings",
         ("tests/test_reporting.py::test_report_bytes_match_recorded_digests",
          "tests/test_reporting.py::test_compute_student_rows_equal_metric_definitions"),
+    ),
+    Mutant(
+        "quadrant and group cells on every subset row",
+        "src/edumetrics/reporting.py",
+        "            end = blank\n",
+        "",
+        ("tests/test_report_writers.py::test_flat_csvs_equal_csv_writer_over_the_row_values",),
+    ),
+    Mutant(
+        "text fields written raw",
+        "src/edumetrics/reporting.py",
+        "return zip(*columns)",
+        "return rows",
+        ("tests/test_report_writers.py::test_flat_csvs_equal_csv_writer_over_the_row_values",
+         "tests/test_report_writers.py::"
+         "test_students_json_equals_the_generic_render_of_the_row_dicts"),
+    ),
+    Mutant(
+        "no timestamp range check in the row loop",
+        "src/edumetrics/domain_model.py",
+        '            _check_timestamp_ms(timestamp_ms, "timestamp_ms")\n'
+        '            if raw_event == "end":',
+        '            if raw_event == "end":',
+        ("tests/test_parse_error_locations.py::test_row_fault_is_reported_at_its_line",),
+    ),
+    Mutant(
+        "duplicate topic ids accepted",
+        "src/edumetrics/domain_model.py",
+        "        if len(set(topic_ids)) != len(topic_ids):\n"
+        '            raise ValidationError("duplicate topic_id", field="topic_ids", '
+        'question_id=qid)\n',
+        "",
+        ("tests/test_parse_error_locations.py::test_question_fault_names_its_question",),
+    ),
+    Mutant(
+        "a bool read as a spec number",
+        "src/edumetrics/domain_model.py",
+        "if isinstance(value, bool) or not isinstance(value, kinds):",
+        "if not isinstance(value, kinds):",
+        ("tests/test_error_contract.py::"
+         "test_malformed_spec_outcomes_match_recorded_digests[wrong-type]",),
+    ),
+    Mutant(
+        "a bool inside a metric range",
+        "src/edumetrics/errors.py",
+        "if not lo <= value <= hi or type(value) is bool:",
+        "if not lo <= value <= hi:",
+        ("tests/test_raise_sites.py::test_raise_site[comprehension-srt-boolean]",),
+    ),
+    Mutant(
+        "an end row only for a session without events",
+        "src/edumetrics/domain_model.py",
+        "if not session.events or session.session_end_ms != session.events[-1].timestamp_ms:",
+        "if not session.events:",
+        ("tests/test_error_contract.py::"
+         "test_malformed_log_outcomes_match_recorded_digests[added-field-default-slices]",),
     ),
 )
 
@@ -89,6 +150,12 @@ def _pytest(copy: Path, *args: str) -> int:
     return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL).returncode
 
 
+# Only exit 1 (tests failed) is a kill. 2 to 5 (an import or collection error,
+# an internal error, a usage error such as an unknown test id, no tests
+# collected) mean the mutant or its test list is broken.
+OUTCOMES = {0: "survived", 1: "killed"}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -96,25 +163,28 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
-        if _pytest(copy, *every_test) != 0:
-            print("the unmutated copy fails the mutants' tests", file=sys.stderr)
+        code = _pytest(copy, *every_test)
+        if code != 0:
+            print(f"the unmutated copy fails the mutants' tests (pytest exit {code})",
+                  file=sys.stderr)
             return 1
-        survivors = []
+        faults = []
         for mutant in MUTANTS:
             path = copy / mutant.path
             original = path.read_text(encoding="utf-8")
             if original.count(mutant.old) != 1:
-                survivors.append(f"{mutant.name} (its old text does not occur once)")
+                faults.append(f"{mutant.name} (its old text does not occur once)")
                 continue
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
-            survived = _pytest(copy, "-x", *mutant.tests) == 0
+            code = _pytest(copy, "-x", *mutant.tests)
             path.write_text(original, encoding="utf-8")
-            print(f"{'survived' if survived else 'killed'}: {mutant.name}")
-            if survived:
-                survivors.append(mutant.name)
-    for name in survivors:
-        print(f"survivor: {name}", file=sys.stderr)
-    return 1 if survivors else 0
+            outcome = OUTCOMES.get(code, f"broken (pytest exit {code})")
+            print(f"{outcome}: {mutant.name}")
+            if code != 1:
+                faults.append(f"{mutant.name} ({outcome})")
+    for fault in faults:
+        print(f"not killed: {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

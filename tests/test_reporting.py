@@ -243,6 +243,23 @@ def test_reported_sums_are_correctly_rounded():
     assert student_response_time(responses, range(1, 11)) == 1.0
 
 
+def test_a_question_answered_again_after_another_is_no_step_down_in_its_topic():
+    """Answers to 1, 2, 1, 3: topic 1 (questions 1 and 3) sees 1, 1, 3, two
+    transitions in order, so its disorder is 0; the whole questionnaire sees
+    one step-down (2 to 1) in three transitions."""
+    spec = make_spec([make_question(1, topics=(1,)), make_question(2, topics=(2,)),
+                      make_question(3, topics=(1,))])
+    session = make_session([answer_event("s1", qid, "a", 1000 * (i + 1))
+                            for i, qid in enumerate((1, 2, 1, 3))])
+    report = compute_student(session, spec, SrtMode.ANSWER_INTERVALS)
+    disorder = {(row.scope, row.element): row.disorder for row in report.subsets}
+    assert disorder[("topic", 1)] == 0.0
+    assert disorder[("topic", 2)] == 0.0
+    whole = level_of_disorder(derive_answer_sequence(session))
+    assert disorder[("questionnaire", None)] == disorder[("subject", "General")] == whole
+    assert 0.9 < whole < 1.0  # entropy of 2 transitions in order and 1 step-down
+
+
 def test_compute_student_rows_equal_metric_definitions():
     spec = _overlapping_spec()
     sessions = _sessions(spec, per_profile=4, seed=77)
